@@ -21,6 +21,7 @@ lint:
 	fi
 
 verify: lint test
+	$(PYTHON) -m pytest -q perfbench/tests
 	$(PYTHON) benchmarks/bench_engine.py --smoke
 	$(PYTHON) benchmarks/bench_single_eval.py --smoke
 

@@ -22,6 +22,7 @@ back, and what the compile amortization looked like.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Sequence
 
 from repro import fastpath, obs
@@ -30,7 +31,6 @@ from repro.batch.compile import (
     BatchFallback,
     compile_group,
 )
-from repro.config.loader import system_config_to_dict
 from repro.config.schema import SystemConfig
 from repro.engine.record import EvalRecord
 from repro.obs import metrics as _obs_metrics
@@ -116,10 +116,11 @@ def resolve_backend(backend: str | None) -> str:
 
 def structure_key(config: SystemConfig) -> str:
     """Content hash of the config minus the batch-evaluable axes."""
-    payload = system_config_to_dict(config)
-    for axis in GROUP_AXES:
-        payload.pop(axis, None)
-    return fastpath.stable_hash(payload)
+    return fastpath.stable_hash({
+        field.name: getattr(config, field.name)
+        for field in dataclasses.fields(config)
+        if field.name not in GROUP_AXES
+    })
 
 
 def _worth_compiling(n_points: int, n_temperatures: int) -> bool:
@@ -131,16 +132,12 @@ def _worth_compiling(n_points: int, n_temperatures: int) -> bool:
 
 def evaluate_batch(
     items: Sequence[tuple[str, SystemConfig]],
-    group_keys: Sequence[str] | None = None,
 ) -> tuple[dict[str, EvalRecord], list[tuple[str, SystemConfig]]]:
     """Vectorize what can be vectorized; return the rest as leftovers.
 
     Args:
         items: Pending ``(cache key, config)`` points (already deduped
             and cache-missed by the engine).
-        group_keys: Optional precomputed :func:`structure_key` per item —
-            the sweep runner derives them from its axis values for free;
-            generic callers let this function hash each config.
 
     Returns:
         ``(records, leftovers)``: records keyed by cache key for every
@@ -150,18 +147,10 @@ def evaluate_batch(
     np = get_numpy()
     if np is None or not items:
         return {}, list(items)
-    if group_keys is not None and len(group_keys) != len(items):
-        raise ValueError(
-            f"got {len(group_keys)} group keys for {len(items)} items"
-        )
 
     groups: dict[str, list[int]] = {}
     for i, (_, config) in enumerate(items):
-        gkey = (
-            group_keys[i] if group_keys is not None
-            else structure_key(config)
-        )
-        groups.setdefault(gkey, []).append(i)
+        groups.setdefault(structure_key(config), []).append(i)
 
     records: dict[str, EvalRecord] = {}
     leftovers: list[tuple[str, SystemConfig]] = []
@@ -169,7 +158,7 @@ def evaluate_batch(
         "batch.evaluate", category="batch",
         points=len(items), groups=len(groups),
     ):
-        for indices in groups.values():
+        for group_key, indices in groups.items():
             group_items = [items[i] for i in indices]
             points = [
                 (config.clock_hz, config.temperature_k)
@@ -183,7 +172,7 @@ def evaluate_batch(
             frequencies = sorted({f for f, _ in points})
             representative = group_items[0][1]
             memo_key = (
-                structure_key(representative),
+                group_key,
                 tuple(frequencies),
                 tuple(temperatures),
             )

@@ -7,6 +7,7 @@ framework's job (the paper's usability claim vs. raw CACTI).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -140,8 +141,6 @@ class CoreConfig:
     @property
     def register_tag_bits(self) -> int:
         """Physical-register specifier width for rename structures."""
-        import math
-
         regs = max(self.phys_int_regs, self.arch_int_regs, 2)
         return max(1, math.ceil(math.log2(regs)))
 
@@ -331,6 +330,12 @@ class SystemConfig:
     whitespace_fraction: float = 0.12
 
     def __post_init__(self) -> None:
+        for name in ("clock_hz", "temperature_k", "vdd_v",
+                     "io_area_fraction", "io_peak_power_w",
+                     "whitespace_fraction"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.clock_hz <= 0:
             raise ValueError("clock_hz must be positive")
         if self.n_cores < 1:

@@ -95,8 +95,6 @@ def evaluate_many(
     exact: bool = True,
     rel_tol: float | None = None,
     surrogate: "object | None" = None,
-    _keys: Sequence[str] | None = None,
-    _group_keys: Sequence[str] | None = None,
 ) -> "list[EvalRecord] | tuple[list[EvalRecord], obs.MetricsSnapshot]":
     """Evaluate many configurations through the cache and worker pool.
 
@@ -145,13 +143,6 @@ def evaluate_many(
             over the packaged model artifact
             (:func:`repro.surrogate.default_tier`); when that is also
             unavailable, every point is computed exactly.
-        _keys: Internal — precomputed
-            :func:`~repro.engine.cache.config_key` per config (the
-            sweep runner renders keys through a validated template;
-            recomputing them here would dominate warm-sweep time).
-        _group_keys: Internal — precomputed
-            :func:`repro.batch.structure_key` per config (the sweep
-            runner derives them from its axes without hashing).
 
     Returns:
         One :class:`EvalRecord` per config, in input order. Records for
@@ -199,24 +190,13 @@ def evaluate_many(
             tier = default_tier()
     resolved_backend = batch.resolve_backend(backend)
 
-    if _keys is not None:
-        if len(_keys) != len(configs):
-            raise ValueError(
-                f"got {len(_keys)} precomputed keys for "
-                f"{len(configs)} configs"
-            )
-        keys = list(_keys)
-    else:
-        keys = [config_key(config, workload) for config in configs]
+    keys = [config_key(config, workload) for config in configs]
     records: dict[str, EvalRecord] = {}
 
     # Serve cache hits, and deduplicate repeats within the batch.
     to_compute: list[tuple[str, SystemConfig]] = []
-    compute_group_keys: list[str] | None = (
-        [] if _group_keys is not None else None
-    )
     seen: set[str] = set()
-    for i, (key, config) in enumerate(zip(keys, configs)):
+    for key, config in zip(keys, configs):
         if key in seen:
             continue
         seen.add(key)
@@ -225,19 +205,13 @@ def evaluate_many(
             records[key] = hit
         else:
             to_compute.append((key, config))
-            if compute_group_keys is not None:
-                assert _group_keys is not None
-                compute_group_keys.append(_group_keys[i])
 
     # The surrogate tier answers admissible uncached points; the rest
     # stay on the exact path and are fed back as training misses below.
     surrogate_fallbacks: list[tuple[str, SystemConfig]] = []
     if tier is not None and to_compute:
         remaining: list[tuple[str, SystemConfig]] = []
-        remaining_group_keys: list[str] | None = (
-            [] if compute_group_keys is not None else None
-        )
-        for i, (key, config) in enumerate(to_compute):
+        for key, config in to_compute:
             answered = tier.try_predict(
                 config, key=key, rel_tol=rel_tol, workload=workload,
             )
@@ -246,16 +220,10 @@ def evaluate_many(
                 continue
             surrogate_fallbacks.append((key, config))
             remaining.append((key, config))
-            if remaining_group_keys is not None:
-                assert compute_group_keys is not None
-                remaining_group_keys.append(compute_group_keys[i])
         to_compute = remaining
-        compute_group_keys = remaining_group_keys
 
     if to_compute and resolved_backend == "numpy" and workload is None:
-        batched, to_compute = batch.evaluate_batch(
-            to_compute, group_keys=compute_group_keys,
-        )
+        batched, to_compute = batch.evaluate_batch(to_compute)
         for key, record in batched.items():
             records[key] = record
             if cache is not None:

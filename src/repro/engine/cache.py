@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Any
 
 from repro import fastpath
-from repro.config.loader import system_config_to_dict
 from repro.config.schema import SystemConfig
 from repro.engine.record import EvalRecord
 from repro.perf.workload import Workload
@@ -107,11 +106,7 @@ def config_key(config: SystemConfig, workload: Workload | None = None) -> str:
             traceback.
     """
     payload = {
-        "v": CACHE_SCHEMA_VERSION,
-        "config": system_config_to_dict(config),
-        "workload": (
-            dataclasses.asdict(workload) if workload is not None else None
-        ),
+        "v": CACHE_SCHEMA_VERSION, "config": config, "workload": workload,
     }
     try:
         return fastpath.stable_hash(payload)

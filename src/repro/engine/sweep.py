@@ -13,18 +13,16 @@ same checkpoint file resumes with exactly the unevaluated remainder.
 The grid is streamed, never materialized: :meth:`SweepSpec.iter_points`
 builds one config at a time (copy-on-write along the axis paths instead
 of a deep copy per point), so a 100k-point grid holds one chunk of
-pending work in memory, not 100k config dicts. Cache keys are rendered
-through a per-sweep JSON template (:class:`_KeyTemplate`) that splices
-axis values into the one position they occupy in the canonical key
-payload — validated against :func:`~repro.engine.cache.config_key` and
-discarded wholesale on any mismatch, so keys are always exactly the
-ones the scalar path would compute.
+pending work in memory, not 100k config dicts. Each point is keyed by
+:func:`~repro.engine.cache.config_key` like any other evaluation.
+Points that differ only in top-level fields share their nested
+sub-configs, whose canonical encodings :func:`repro.fastpath.stable_hash`
+memoizes, so such a key costs little more than encoding those fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass
@@ -37,12 +35,7 @@ from repro.config.loader import (
     system_config_to_dict,
 )
 from repro.config.schema import SystemConfig
-from repro.engine.cache import (
-    CACHE_SCHEMA_VERSION,
-    DEFAULT_CACHE,
-    EvalCache,
-    config_key,
-)
+from repro.engine.cache import DEFAULT_CACHE, EvalCache, config_key
 from repro.engine.record import EvalRecord
 from repro.perf.workload import Workload
 
@@ -58,16 +51,6 @@ AXIS_ALIASES = {
 #: even when ``checkpoint_every`` is small. Purely an efficiency knob —
 #: results and resume semantics are chunk-size independent.
 _BATCH_CHUNK_POINTS = 1024
-
-#: Placeholder spliced into the key payload where an axis value goes.
-#: NUL bytes cannot appear in real config data (they would be escaped
-#: the same way, which is exactly why the match is unambiguous).
-_AXIS_SENTINEL = "\x00repro-sweep-axis-{}\x00"
-
-#: Axis value types whose JSON rendering trivially round-trips through
-#: config construction; other types are template-validated per distinct
-#: value (see ``run_sweep``'s ``key_for``).
-_SAFE_VALUE_TYPES = (int, float, bool, type(None))
 
 
 def _resolve_path(base_dict: dict[str, Any], name: str) -> str:
@@ -88,14 +71,6 @@ def _resolve_path(base_dict: dict[str, Any], name: str) -> str:
             )
         node = node[part]
     return path
-
-
-def _set_path(config_dict: dict[str, Any], path: str, value: Any) -> None:
-    node = config_dict
-    parts = path.split(".")
-    for part in parts[:-1]:
-        node = node[part]
-    node[parts[-1]] = value
 
 
 def _overlay(
@@ -125,129 +100,6 @@ def _overlay(
             node = fresh
         node[parts[-1]] = value
     return out
-
-
-class _KeyTemplate:
-    """Renders sweep cache keys by splicing values into a JSON template.
-
-    :func:`~repro.engine.cache.config_key` costs a full config
-    serialization per point; over a sweep every point's key payload is
-    identical except at the axis leaf positions. The template dumps the
-    payload once with sentinel strings at those positions, splits the
-    canonical JSON blob around them, and renders each point's key by
-    joining the fixed fragments with ``json.dumps(value)`` — a string
-    concatenation and one sha256 instead of a config walk.
-
-    Correctness is enforced, not assumed: ``run_sweep`` compares the
-    template key against the real ``config_key`` on the first grid
-    point (and once per distinct non-scalar axis value) and discards
-    the template on any mismatch. ``build`` itself refuses payloads it
-    cannot uniquely template (an axis shadowed by another axis, or a
-    payload JSON cannot serialize).
-    """
-
-    __slots__ = ("_parts", "_order")
-
-    def __init__(self, parts: list[str], order: list[int]) -> None:
-        self._parts = parts
-        self._order = order
-
-    @classmethod
-    def build(
-        cls, spec: "SweepSpec", workload: Workload | None,
-    ) -> "_KeyTemplate | None":
-        base_dict = system_config_to_dict(spec.base)
-        paths = [axis.path.split(".") for axis in spec.axes]
-        sentinels = [_AXIS_SENTINEL.format(i) for i in range(len(paths))]
-        shadow = _overlay(base_dict, paths, sentinels)
-        payload = {
-            "v": CACHE_SCHEMA_VERSION,
-            "config": shadow,
-            "workload": (
-                dataclasses.asdict(workload)
-                if workload is not None else None
-            ),
-        }
-        try:
-            blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        except (TypeError, ValueError):
-            return None
-        spans: list[tuple[int, int, int]] = []
-        for i, sentinel in enumerate(sentinels):
-            token = json.dumps(sentinel)
-            start = blob.find(token)
-            if start < 0 or blob.find(token, start + 1) >= 0:
-                return None
-            spans.append((start, start + len(token), i))
-        spans.sort()
-        parts: list[str] = []
-        order: list[int] = []
-        cursor = 0
-        for start, end, i in spans:
-            parts.append(blob[cursor:start])
-            order.append(i)
-            cursor = end
-        parts.append(blob[cursor:])
-        return cls(parts, order)
-
-    def render(self, combo: Sequence[Any]) -> str:
-        """Key for one grid point (axis values in spec order).
-
-        Raises:
-            TypeError, ValueError: When a value is not JSON-serializable
-                (the caller falls back to :func:`config_key`).
-        """
-        pieces: list[str] = []
-        for part, i in zip(self._parts, self._order):
-            pieces.append(part)
-            pieces.append(
-                json.dumps(combo[i], sort_keys=True, separators=(",", ":"))
-            )
-        pieces.append(self._parts[-1])
-        return hashlib.sha256("".join(pieces).encode("utf-8")).hexdigest()
-
-
-class _SweepKeys:
-    """Per-sweep cache-key renderer with self-validation.
-
-    Wraps a :class:`_KeyTemplate` and the bookkeeping that keeps it
-    honest: the first grid point — and the first occurrence of every
-    distinct non-scalar axis value — is double-computed against the
-    exact :func:`config_key` path; any mismatch (or a value the
-    template cannot render) discards the template for the rest of the
-    sweep. A rendered key is therefore only ever trusted after its
-    value pattern has matched the exact path at least once.
-    """
-
-    def __init__(self, spec: "SweepSpec", workload: Workload | None) -> None:
-        self.workload = workload
-        self.template = _KeyTemplate.build(spec, workload)
-        self.validated: list[set[str]] = [set() for _ in spec.axes]
-        self.unvalidated = True
-
-    def key_for(self, combo: tuple[Any, ...], config: SystemConfig) -> str:
-        if self.template is None:
-            return config_key(config, self.workload)
-        try:
-            fast = self.template.render(combo)
-        except (TypeError, ValueError):
-            self.template = None
-            return config_key(config, self.workload)
-        if not self.unvalidated and all(
-            isinstance(value, _SAFE_VALUE_TYPES)
-            or repr(value) in self.validated[i]
-            for i, value in enumerate(combo)
-        ):
-            return fast
-        slow = config_key(config, self.workload)
-        if fast != slow:
-            self.template = None
-            return slow
-        self.unvalidated = False
-        for i, value in enumerate(combo):
-            if not isinstance(value, _SAFE_VALUE_TYPES):
-                self.validated[i].add(repr(value))
-        return fast
 
 
 @dataclass(frozen=True)
@@ -321,66 +173,57 @@ class SweepSpec:
             total *= len(axis.values)
         return total
 
-    def _iter_built(
-        self,
-    ) -> Iterator[tuple[tuple[Any, ...], dict[str, Any], SystemConfig]]:
-        """Stream ``(combo, overrides, config)`` in grid order.
-
-        When every axis is a top-level scalar field (the common
-        frequency/voltage/temperature sweeps), the nested component
-        configs are identical across the whole grid: one template
-        config is built from the first point and every other point is
-        a ``dataclasses.replace`` of it — the frozen sub-configs are
-        shared, only the top-level dataclass (and its validators) is
-        rebuilt. The shortcut only fires when each axis value is an
-        instance of the field's built type (``from_dict`` converts
-        enum-typed fields, which ``replace`` must not skip); nested
-        axes and type-changing values take the general dict-overlay
-        path.
-        """
-        base_dict = system_config_to_dict(self.base)
-        paths = [axis.path.split(".") for axis in self.axes]
-        names = [axis.name for axis in self.axes]
-        flat = all(
-            len(parts) == 1 and not isinstance(base_dict[parts[0]], dict)
-            for parts in paths
-        )
-        field_types: tuple[type, ...] | None = None
-        template_config: SystemConfig | None = None
-        for combo in itertools.product(*(a.values for a in self.axes)):
-            if (
-                flat
-                and template_config is not None
-                and field_types is not None
-                and all(
-                    isinstance(value, kind)
-                    for value, kind in zip(combo, field_types)
-                )
-            ):
-                config = dataclasses.replace(
-                    template_config,
-                    **{parts[0]: value
-                       for parts, value in zip(paths, combo)},
-                )
-            else:
-                config_dict = _overlay(base_dict, paths, combo)
-                config = system_config_from_dict(config_dict)
-                template_config = config
-                if flat:
-                    field_types = tuple(
-                        type(getattr(config, parts[0]))
-                        for parts in paths
-                    )
-            yield combo, dict(zip(names, combo)), config
-
     def iter_points(self) -> Iterator[SweepPoint]:
         """Stream the cross product lazily, last axis varying fastest.
 
         Each point is built on demand — the grid is never materialized,
         so arbitrarily large sweeps use constant memory here.
+
+        A point whose nested-axis values equal those of the last point
+        built from the config dict differs from it only in top-level
+        fields, so it is a ``dataclasses.replace`` of that point: the
+        frozen sub-configs are shared (and so are their memoized key
+        encodings, see :func:`repro.fastpath.stable_hash`), and only the
+        top-level dataclass and its validators are rebuilt. The shortcut
+        only fires when each top-level axis value is an instance of the
+        field's built type (``from_dict`` converts enum-typed fields,
+        which ``replace`` must not skip); any other point takes the
+        general dict-overlay path.
         """
-        for _, overrides, config in self._iter_built():
-            yield SweepPoint(overrides=overrides, config=config)
+        base_dict = system_config_to_dict(self.base)
+        paths = [axis.path.split(".") for axis in self.axes]
+        names = [axis.name for axis in self.axes]
+        flat = [
+            i for i, parts in enumerate(paths)
+            if len(parts) == 1 and not isinstance(base_dict[parts[0]], dict)
+        ]
+        nested = [i for i in range(len(paths)) if i not in flat]
+        template: SystemConfig | None = None
+        built: tuple[Any, ...] = ()
+        field_types: list[type] = []
+        for combo in itertools.product(*(a.values for a in self.axes)):
+            if (
+                template is not None
+                and all(combo[i] is built[i] for i in nested)
+                and all(
+                    isinstance(combo[i], kind)
+                    for i, kind in zip(flat, field_types)
+                )
+            ):
+                config = dataclasses.replace(
+                    template, **{paths[i][0]: combo[i] for i in flat},
+                )
+            else:
+                config = system_config_from_dict(
+                    _overlay(base_dict, paths, combo)
+                )
+                template, built = config, combo
+                field_types = [
+                    type(getattr(config, paths[i][0])) for i in flat
+                ]
+            yield SweepPoint(
+                overrides=dict(zip(names, combo)), config=config,
+            )
 
     def points(self) -> list[SweepPoint]:
         """The full cross product as a list (see :meth:`iter_points`)."""
@@ -446,24 +289,16 @@ def run_sweep(
         checkpoint_every if resolved == "scalar"
         else max(checkpoint_every, _BATCH_CHUNK_POINTS)
     )
-    use_hints = resolved == "numpy"
-    structural = [
-        i for i, axis in enumerate(spec.axes)
-        if axis.path not in _batch.GROUP_AXES
-    ]
 
     checkpoint = Path(checkpoint_path) if checkpoint_path else None
     done: dict[str, EvalRecord] = (
         _load_checkpoint(checkpoint) if checkpoint is not None else {}
     )
 
-    keys = _SweepKeys(spec, workload)
-
     results: list[SweepPointResult | None] = []
     buf_slots: list[int] = []
     buf_points: list[SweepPoint] = []
     buf_keys: list[str] = []
-    buf_groups: list[str] = []
 
     def flush() -> None:
         if not buf_points:
@@ -474,8 +309,6 @@ def run_sweep(
             jobs=jobs,
             cache=cache,
             backend=resolved,
-            _keys=list(buf_keys),
-            _group_keys=list(buf_groups) if use_hints else None,
         )
         lines = []
         for slot, point, key, record in zip(
@@ -501,18 +334,17 @@ def run_sweep(
         buf_slots.clear()
         buf_points.clear()
         buf_keys.clear()
-        buf_groups.clear()
 
     with obs.span(
         "engine.run_sweep", category="engine",
         points=spec.n_points, jobs=jobs, backend=resolved,
     ):
-        for combo, overrides, config in spec._iter_built():
-            key = keys.key_for(combo, config)
+        for point in spec.iter_points():
+            key = config_key(point.config, workload)
             if key in done:
                 results.append(SweepPointResult(
-                    overrides=overrides,
-                    config=config,
+                    overrides=point.overrides,
+                    config=point.config,
                     record=dataclasses.replace(
                         done[key], from_cache=True,
                     ),
@@ -520,15 +352,8 @@ def run_sweep(
                 continue
             buf_slots.append(len(results))
             results.append(None)
-            buf_points.append(SweepPoint(
-                overrides=overrides, config=config,
-            ))
+            buf_points.append(point)
             buf_keys.append(key)
-            if use_hints:
-                buf_groups.append(repr(tuple(
-                    (spec.axes[i].path, repr(combo[i]))
-                    for i in structural
-                )))
             if len(buf_points) >= chunk_size:
                 flush()
         flush()

@@ -16,9 +16,11 @@ layers use to remember their answers:
   organization-search pruning) fall back to their exhaustive exact forms.
   The parity suite uses this to assert that memoized and unmemoized
   evaluations produce numerically identical reports.
-* :func:`stable_hash` — the deterministic content-hash used by
-  :func:`repro.engine.cache.config_key` and the ``build_array`` memo, so
-  every cache layer keys on *content*, never object identity.
+* :func:`stable_hash` — the one canonical encoder behind every content
+  key (:func:`repro.engine.cache.config_key`, the batch structure key,
+  the ``build_array`` memo), so every cache layer keys on *content*,
+  never object identity. Frozen dataclass instances memoize their
+  encoding, which makes keying a ``dataclasses.replace`` variant cheap.
 
 Memos are per-process. Worker processes forked by ``repro.engine`` each
 warm their own copy, which is exactly what makes repeated points inside
@@ -34,6 +36,7 @@ import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator, TypeVar, cast
 
 from repro.obs import metrics as _obs_metrics
@@ -145,8 +148,10 @@ def _reinit_after_fork() -> None:
     does not exist there). Same pattern the stdlib ``logging`` module
     uses for its handler locks.
     """
+    global _PLAN_LOCK
     for memo in _REGISTRY:
         memo._lock = threading.Lock()
+    _PLAN_LOCK = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):  # not on every platform
@@ -191,21 +196,123 @@ def _obs_collect() -> dict[str, float]:
 _obs_metrics.register_collector("fastpath.memos", _obs_collect)
 
 
+#: Canonical-JSON plan per dataclass type: whether instances are
+#: frozen, and ``(field name, pre-escaped '"name":' head)`` pairs in
+#: sorted name order. Read lock-free (one dict probe per instance);
+#: written under ``_PLAN_LOCK`` (keys are derived on serve threads).
+_PLANS: dict[
+    type, tuple[bool, tuple[tuple[str, str], ...]],
+] = {}  # repro: guarded-by[_PLAN_LOCK]
+_PLAN_LOCK = threading.Lock()
+
+#: Instance ``__dict__`` slot holding a frozen dataclass's encoding.
+_ENCODED_ATTR = "_repro_canonical_json"
+
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_SPECIALS.get(text, text)
+
+
+#: Encoders for the exact JSON scalar types (subclasses such as
+#: ``IntEnum`` must not match: ``json`` renders them differently).
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _encode_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _plan_for(obj: Any) -> tuple[bool, tuple[tuple[str, str], ...]]:
+    """Build and record the plan of ``obj``'s dataclass type."""
+    names = sorted(f.name for f in dataclasses.fields(obj))
+    plan = (bool(obj.__dataclass_params__.frozen), tuple(
+        (name, encode_basestring_ascii(name) + ":") for name in names
+    ))
+    with _PLAN_LOCK:
+        _PLANS[type(obj)] = plan
+    return plan
+
+
+def _json_default(obj: Any) -> Any:
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.asdict(obj)
+    return str(obj)
+
+
+def _encode(obj: Any) -> tuple[str, bool]:
+    """Canonical JSON of ``obj`` and whether its subtree is immutable.
+
+    Byte-identical to ``json.dumps(obj, sort_keys=True,
+    separators=(",", ":"), default=str)`` with dataclass instances
+    flattened as by :func:`dataclasses.asdict`. A frozen dataclass whose
+    subtree holds no list, dict, set or other unknown object stores its
+    encoding in its own ``__dict__``, so a ``dataclasses.replace`` of a
+    config re-encodes only the replaced instance's own fields.
+    """
+    kind = type(obj)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(obj), True
+    plan = _PLANS.get(kind)
+    if plan is None and dataclasses.is_dataclass(obj) \
+            and not isinstance(obj, type):
+        plan = _plan_for(obj)
+    if plan is not None:
+        frozen, heads = plan
+        memo = getattr(obj, "__dict__", None) if frozen else None
+        if memo is not None:
+            cached = memo.get(_ENCODED_ATTR)
+            if cached is not None:
+                return cached, True
+        fields = []
+        immutable = frozen
+        for name, head in heads:
+            value = getattr(obj, name)
+            scalar = _SCALARS.get(type(value))
+            if scalar is not None:
+                fields.append(head + scalar(value))
+                continue
+            text, field_immutable = _encode(value)
+            fields.append(head + text)
+            immutable = immutable and field_immutable
+        encoded = "{" + ",".join(fields) + "}"
+        if immutable and memo is not None:
+            memo[_ENCODED_ATTR] = encoded
+        return encoded, immutable
+    if kind is tuple or kind is list:
+        items = []
+        immutable = kind is tuple
+        for item in obj:
+            text, item_immutable = _encode(item)
+            items.append(text)
+            immutable = immutable and item_immutable
+        return "[" + ",".join(items) + "]", immutable
+    if kind is dict and all(type(key) is str for key in obj):
+        return "{" + ",".join(
+            encode_basestring_ascii(key) + ":" + _encode(obj[key])[0]
+            for key in sorted(obj)
+        ) + "}", False
+    if isinstance(obj, str):  # str-valued enums
+        return encode_basestring_ascii(obj), True
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), default=_json_default,
+    ), False
+
+
 def stable_hash(payload: Any) -> str:
     """Deterministic sha256 over the canonical JSON form of ``payload``.
 
-    Dataclasses are flattened with :func:`dataclasses.asdict`; anything
-    JSON cannot represent falls back to ``str``. Two structurally equal
-    payloads always hash identically regardless of how they were built.
+    The canonical form is ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"), default=str)`` with dataclass instances
+    flattened to their fields, so two structurally equal payloads always
+    hash identically regardless of how they were built. Frozen
+    dataclasses memoize their encoding (see :func:`_encode`); they must
+    therefore really be immutable, which the ``frozen`` contract and the
+    no-mutable-leaf rule guarantee.
     """
-    def canonical(obj: Any) -> Any:
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return dataclasses.asdict(obj)
-        return obj
-
-    blob = json.dumps(
-        canonical(payload), sort_keys=True, separators=(",", ":"),
-        default=lambda o: canonical(o) if dataclasses.is_dataclass(o)
-        else str(o),
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_encode(payload)[0].encode("utf-8")).hexdigest()

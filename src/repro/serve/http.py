@@ -167,8 +167,15 @@ async def read_request(
 
 
 def encode_json(payload: Any) -> bytes:
-    """Serialize a response payload as compact JSON plus a newline."""
-    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    """Serialize a response payload as compact JSON plus a newline.
+
+    Raises:
+        ValueError: On a NaN or infinite float, which strict JSON cannot
+            carry; the dispatcher turns it into a 5xx error body.
+    """
+    return (
+        json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+    ).encode("utf-8")
 
 
 async def write_response(

@@ -116,12 +116,6 @@ class TestEvaluateBatch:
         assert batch.counters()["compile_probes"] == probes_first
 
     @needs_numpy
-    def test_group_keys_length_mismatch_is_an_error(self):
-        items = keyed(frequency_grid(4))
-        with pytest.raises(ValueError, match="group keys"):
-            batch.evaluate_batch(items, group_keys=["only-one"])
-
-    @needs_numpy
     def test_mixed_structures_partition_into_groups(self):
         narrow = frequency_grid(5)
         wide = frequency_grid(

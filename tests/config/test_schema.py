@@ -121,3 +121,14 @@ class TestSystemConfig:
     def test_bad_whitespace_rejected(self):
         with pytest.raises(ValueError):
             self._base(whitespace_fraction=-0.1)
+
+    @pytest.mark.parametrize("field", [
+        "clock_hz", "temperature_k", "vdd_v", "io_area_fraction",
+        "io_peak_power_w", "whitespace_fraction",
+    ])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_non_finite_float_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            self._base(**{field: value})

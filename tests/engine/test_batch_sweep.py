@@ -1,5 +1,6 @@
-"""Sweeps under the batch backend: laziness, key templates, resume."""
+"""Sweeps under the batch backend: laziness, keys, resume."""
 
+import dataclasses
 import itertools
 import json
 from typing import Iterator
@@ -8,8 +9,8 @@ import pytest
 
 from repro import batch
 from repro.batch import backend as backend_mod
+from repro.config.loader import system_config_from_dict, system_config_to_dict
 from repro.engine import EvalCache, SweepSpec, config_key, run_sweep
-from repro.engine.sweep import _KeyTemplate, _SweepKeys
 from repro.tech.device import DeviceType
 
 from tests.conftest import make_tiny_config
@@ -67,6 +68,29 @@ class TestLazyGrid:
                 rebuilt, None
             )
 
+    def test_nested_axis_points_share_unchanged_sub_configs(self):
+        # Between rebuilds of the nested axis, points are replaces of
+        # one dict-built config: equal to a fresh build, and sharing
+        # its untouched sub-configs (and their memoized encodings).
+        spec = SweepSpec.from_axes(
+            make_tiny_config(),
+            {"core.issue_width": (1, 2), "clock_hz": freqs(3)},
+        )
+        points = spec.points()
+        for point in points:
+            rebuilt = make_tiny_config(
+                core=dataclasses.replace(
+                    make_tiny_config().core,
+                    issue_width=point.config.core.issue_width,
+                ),
+                clock_hz=point.config.clock_hz,
+            )
+            assert point.config == rebuilt
+            assert config_key(point.config) == config_key(rebuilt)
+        assert points[0].config.core is points[2].config.core
+        assert points[2].config.core is not points[3].config.core
+        assert points[3].config.core.issue_width == 2
+
     def test_enum_axis_builds_typed_configs(self):
         spec = SweepSpec.from_axes(
             make_tiny_config(),
@@ -77,51 +101,34 @@ class TestLazyGrid:
         assert kinds[0] != kinds[2]
 
 
-class TestKeyTemplate:
-    def assert_keys_exact(self, spec, workload=None):
-        keys = _SweepKeys(spec, workload)
-        for combo, _, config in spec._iter_built():
-            assert keys.key_for(combo, config) == config_key(
-                config, workload
-            )
-        return keys
+class TestSweepKeys:
+    """Sweep points are keyed exactly as any other evaluation."""
 
-    def test_scalar_axes_render_exact_keys(self):
-        spec = SweepSpec.from_axes(
-            make_tiny_config(),
-            {"clock_hz": freqs(3), "temperature_k": (340.0, 360.0)},
+    @pytest.mark.parametrize("axes", [
+        {"clock_hz": freqs(3), "temperature_k": (340.0, 360.0)},
+        {"cores": (1, 2), "core.issue_width": (1, 2)},
+        {"device_type": ("hp", "lop"), "clock_hz": freqs(2)},
+        # Two axes addressing one field: the last one wins.
+        {"cores": (1, 2), "n_cores": (3, 4)},
+    ], ids=["scalar", "alias_dotted", "enum_string", "shadowed"])
+    def test_record_and_checkpoint_keys_are_config_keys(
+        self, axes, tmp_path,
+    ):
+        spec = SweepSpec.from_axes(make_tiny_config(), axes)
+        checkpoint = tmp_path / "sweep.jsonl"
+        results = run_sweep(
+            spec, cache=EvalCache(), checkpoint_path=checkpoint,
         )
-        keys = self.assert_keys_exact(spec)
-        assert keys.template is not None  # fast path stayed engaged
-
-    def test_alias_and_dotted_axes_render_exact_keys(self):
-        spec = SweepSpec.from_axes(
-            make_tiny_config(),
-            {"cores": (1, 2), "core.issue_width": (1, 2)},
-        )
-        keys = self.assert_keys_exact(spec)
-        assert keys.template is not None
-
-    def test_enum_string_axis_falls_back_to_exact_keys(self):
-        # "hp" renders into the template as a JSON string — which is
-        # also how the canonical payload serializes the enum, so the
-        # template survives; every distinct value is cross-checked.
-        spec = SweepSpec.from_axes(
-            make_tiny_config(),
-            {"device_type": ("hp", "lop"), "clock_hz": freqs(2)},
-        )
-        self.assert_keys_exact(spec)
-
-    def test_shadowed_axis_cannot_be_templated(self):
-        # Two axes addressing the same field: the second sentinel
-        # overwrites the first, so the template refuses the payload and
-        # every key takes the exact path.
-        spec = SweepSpec.from_axes(
-            make_tiny_config(),
-            {"cores": (1, 2), "n_cores": (3, 4)},
-        )
-        assert _KeyTemplate.build(spec, None) is None
-        self.assert_keys_exact(spec)
+        expected = [
+            config_key(system_config_from_dict(
+                system_config_to_dict(result.config)
+            ))
+            for result in results
+        ]
+        assert len(expected) == spec.n_points
+        assert [result.record.key for result in results] == expected
+        lines = checkpoint.read_text().splitlines()
+        assert [json.loads(line)["key"] for line in lines] == expected
 
 
 @needs_numpy

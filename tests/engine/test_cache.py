@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+import pickle
 import threading
 
 import pytest
 
+from repro.config import presets
+from repro.config.loader import system_config_from_dict, system_config_to_dict
 from repro.engine import EvalCache, EvalRecord, config_key, evaluate_many
 from repro.perf import SPLASH2_PROFILES
 
@@ -57,6 +60,55 @@ class TestConfigKey:
             config, SPLASH2_PROFILES["lu"])
         assert config_key(config, SPLASH2_PROFILES["lu"]) != config_key(
             config, SPLASH2_PROFILES["fft"])
+
+
+#: ``config_key`` digests of the validation presets, without a workload
+#: and with SPLASH-2 ``lu``. Persisted JSONL caches and checkpoints hold
+#: these exact strings: a change here silently orphans every stored
+#: result, so it must come with a ``CACHE_SCHEMA_VERSION`` bump.
+PINNED_KEYS = {
+    "niagara1": (
+        "cc84894ccbf93c58b3743b0882eea3cc93be5a01c20a937e9d8de72fa4591077",
+        "fa56defffd959a906d1ed74bdc0ecd3df88d4f0478075e33f81ee7fa2d550390",
+    ),
+    "niagara2": (
+        "ba37f32c4eaaba83c01bfa10e7622cc4310385d874d35d4901f4d628d3a8223c",
+        "954f0d3adc990df06669ef11db9ccdffd7ead3f07bff00f5e4df9d3d11f13087",
+    ),
+    "alpha21364": (
+        "a1c5cdb00c1587de10550dadbcc42318553dee772631803c969b1ae276a603af",
+        "623786f87bb590fc8713a0a82bd0b2574e1e75f32cf8703843a9c0c3f5a5acb4",
+    ),
+    "xeon_tulsa": (
+        "8cac0c6f45cb70b0ba66e8536d0d899af2552a3fd7bf56452cc8d43b30fef8da",
+        "e2caa483c9c48178e69e797b13567d4145735a9952afc8d3ae6412e2a5ed3d30",
+    ),
+}
+
+
+class TestPinnedKeys:
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_preset_digests_are_pinned(self, name):
+        config = presets.VALIDATION_PRESETS[name]()
+        bare, with_lu = PINNED_KEYS[name]
+        assert config_key(config) == bare
+        assert config_key(config, SPLASH2_PROFILES["lu"]) == with_lu
+
+    def test_one_digest_however_built(self):
+        preset = presets.alpha21364()
+        expected = PINNED_KEYS["alpha21364"][0]
+        parsed = system_config_from_dict(system_config_to_dict(preset))
+        chained = dataclasses.replace(
+            dataclasses.replace(preset, n_cores=preset.n_cores + 1),
+            n_cores=preset.n_cores,
+        )
+        assert config_key(preset) == expected
+        # Round-trip after hashing too, so any per-instance state the
+        # key derivation leaves behind travels through pickle.
+        unpickled = pickle.loads(pickle.dumps(preset))
+        for config in (parsed, chained, unpickled):
+            assert config_key(config) == expected
+            assert config_key(config) == expected  # warm repeat
 
 
 class TestEvalCacheMemory:

@@ -8,7 +8,9 @@ inside :mod:`repro.serve.app`, so they exercise admission control and
 timeouts without paying for real model builds.
 """
 
+import dataclasses
 import http.client
+import json
 import threading
 import time
 
@@ -296,6 +298,61 @@ class TestSweep:
                 )
         assert exc.value.status == 400
         assert "backend" in exc.value.detail
+
+
+def strict_json(raw: bytes):
+    """Parse strict JSON: ``NaN``/``Infinity`` tokens are an error."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token!r}")
+
+    return json.loads(raw, parse_constant=reject)
+
+
+def post_raw(server, body: bytes) -> tuple[int, bytes]:
+    connection = http.client.HTTPConnection(
+        "127.0.0.1", server.port, timeout=30,
+    )
+    try:
+        connection.request(
+            "POST", "/evaluate", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+class TestNonFiniteValues:
+    def test_nan_clock_is_a_400_with_a_json_error(self):
+        config = dict(tiny_dict(), clock_hz=float("nan"))
+        body = json.dumps({"config": config, "report": False})
+        assert '"clock_hz": NaN' in body
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            status, raw = post_raw(server, body.encode())
+        assert status == 400
+        error = strict_json(raw)
+        assert "clock_hz must be finite" in error["detail"]
+
+    def test_non_finite_result_is_a_5xx_with_a_json_error(
+        self, monkeypatch,
+    ):
+        def nan_evaluate_many(configs, **_):
+            return [
+                dataclasses.replace(fake_record(config), tdp_w=float("nan"))
+                for config in configs
+            ]
+
+        monkeypatch.setattr(
+            "repro.serve.app.evaluate_many", nan_evaluate_many,
+        )
+        body = json.dumps({"config": tiny_dict(), "report": False})
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            status, raw = post_raw(server, body.encode())
+        assert 500 <= status < 600
+        error = strict_json(raw)
+        assert error["error"]
+        assert "trace_id" in error
 
 
 class TestAdmissionControl:

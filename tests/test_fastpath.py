@@ -1,11 +1,16 @@
 """Unit tests for the fast-path memo substrate."""
 
 import dataclasses
+import enum
+import hashlib
+import json
+import sys
 import threading
 
 import pytest
 
 from repro import fastpath
+from repro.config.schema import NocTopology
 
 
 class TestMemo:
@@ -130,6 +135,50 @@ class _Point:
     y: str = "z"
 
 
+@dataclasses.dataclass(frozen=True)
+class _Holder:
+    head: object
+    rest: list
+
+
+@dataclasses.dataclass(frozen=True)
+class _Wrap:
+    inner: object
+
+
+@dataclasses.dataclass  # repro: noqa[SPEC001] -- mutable on purpose
+class _Box:
+    value: int
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Ratio(float, enum.Enum):
+    HALF = 0.5
+
+
+class _Opaque:
+    def __str__(self) -> str:
+        return "opaque"
+
+
+def _reference_hash(payload) -> str:
+    """The canonical form spelled with ``asdict`` and ``json.dumps``."""
+    def flatten(obj):
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            return dataclasses.asdict(obj)
+        return str(obj)
+
+    if dataclasses.is_dataclass(payload):
+        payload = dataclasses.asdict(payload)
+    blob = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=flatten,
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 class TestStableHash:
     def test_deterministic(self):
         assert fastpath.stable_hash({"a": 1}) == fastpath.stable_hash({"a": 1})
@@ -144,6 +193,83 @@ class TestStableHash:
         a = fastpath.stable_hash({"p": _Point(1), "q": [_Point(2)]})
         b = fastpath.stable_hash({"p": _Point(1), "q": [_Point(2)]})
         assert a == b
+
+    def test_canonical_form_is_json_dumps(self):
+        """Byte-identical to sorted, compact ``json.dumps`` + ``str``."""
+        payloads = [
+            {"nan": float("nan"), "inf": float("inf"),
+             "-inf": float("-inf"), "zero": -0.0, "tiny": 5e-324},
+            {"t": (1, 2.5, "x", None), "b": [True, False], "big": 2 ** 70},
+            {"s": 'é"\n\x00', "enum": NocTopology.RING},
+            {"int_enum": _Level.HIGH, "float_enum": _Ratio.HALF},
+            {"int keys": {2: "a", 1: "b"}, "odd": _Opaque()},
+            {"p": _Point(1), "q": [_Point(2)], "r": (_Point(3, "é"),)},
+            _Holder(_Point(4), [_Point(5)]),
+            [1, "two", 3.0],
+        ]
+        for payload in payloads:
+            assert fastpath.stable_hash(payload) == _reference_hash(payload)
+
+    def test_frozen_instances_memoize_their_encoding(self):
+        point = _Point(1)
+        assert fastpath._ENCODED_ATTR not in vars(point)
+        first = fastpath.stable_hash({"p": point})
+        assert fastpath._ENCODED_ATTR in vars(point)
+        assert fastpath.stable_hash({"p": point}) == first
+        assert point == _Point(1)  # equality ignores the memo
+        assert fastpath._ENCODED_ATTR not in vars(
+            dataclasses.replace(point))
+
+    def test_mutable_leaf_disables_the_memo_of_every_encloser(self):
+        inner = _Holder(_Point(1), [])
+        wrapped = _Wrap(_Wrap(inner))
+        before = fastpath.stable_hash(wrapped)
+        inner.rest.append(_Point(2))
+        assert fastpath.stable_hash(wrapped) != before
+        for node in (inner, wrapped, wrapped.inner):
+            assert fastpath._ENCODED_ATTR not in vars(node)
+        assert fastpath._ENCODED_ATTR in vars(inner.head)
+
+    def test_mutable_dataclass_is_never_memoized(self):
+        box = _Box(1)
+        before = fastpath.stable_hash(_Wrap(box))
+        box.value = 2
+        assert fastpath.stable_hash(_Wrap(box)) != before
+
+    def test_concurrent_first_encodings_agree(self):
+        """Threads racing on fresh plans and memos see one canonical form."""
+        from tests.conftest import make_tiny_config
+
+        configs = [make_tiny_config(n_cores=n) for n in range(1, 5)]
+        expected = [_reference_hash(config) for config in configs]
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+        results: list[list[str]] = [[] for _ in range(n_threads)]
+
+        def work(tid):
+            barrier.wait()
+            for _ in range(50):
+                results[tid].append(fastpath.stable_hash(
+                    configs[tid % len(configs)]
+                ))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        fastpath._PLANS.clear()
+        try:
+            threads = [
+                threading.Thread(target=work, args=(tid,))
+                for tid in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        for tid, digests in enumerate(results):
+            assert digests == [expected[tid % len(configs)]] * 50
 
     def test_matches_engine_cache_keys(self):
         """config_key must keep producing the same on-disk cache keys."""
