@@ -64,13 +64,8 @@ def build_concurrency_model(
     Exposed for the meta-suite, which asserts on the inferred contexts
     directly in addition to the emitted findings.
     """
-    sources = list(context)
-    project = build_project(sources)
-    model = build_contexts(project)
-    state = build_state(
-        model, {source.path: source.source for source in sources},
-    )
-    return model, state
+    model = build_contexts(build_project(list(context)))
+    return model, build_state(model)
 
 
 def analyze_concurrency(

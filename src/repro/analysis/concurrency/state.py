@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import ast
 import re
-import tokenize
 from dataclasses import dataclass, field
-from io import StringIO
 
 from repro.analysis.concurrency.contexts import (
     ContextModel,
@@ -37,6 +35,7 @@ from repro.analysis.concurrency.contexts import (
     T_THREAD_EXECUTOR,
     dotted_chain,
 )
+from repro.analysis.context import CommentTokens
 
 #: A shared-state key: ("global", module_qual, name) or
 #: ("field", class_qual, attr).
@@ -169,23 +168,17 @@ class StateModel:
 
 
 def parse_guard_comments(
-    source: str,
+    comments: CommentTokens,
 ) -> tuple[dict[int, str], list[tuple[int, str]]]:
     """``# repro: guarded-by[lock]`` comments by line, plus errors."""
     by_line: dict[int, str] = {}
     errors: list[tuple[int, str]] = []
-    try:
-        tokens = list(tokenize.generate_tokens(StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return by_line, errors
-    for tok in tokens:
-        if tok.type != tokenize.COMMENT:
-            continue
-        match = _GUARDED_BY_RE.search(tok.string)
+    for line, text in comments:
+        match = _GUARDED_BY_RE.search(text)
         if match is None:
-            if _GUARDED_BY_LOOSE_RE.search(tok.string):
+            if _GUARDED_BY_LOOSE_RE.search(text):
                 errors.append((
-                    tok.start[0],
+                    line,
                     "malformed guarded-by comment: expected "
                     "'# repro: guarded-by[lockname]'",
                 ))
@@ -193,11 +186,11 @@ def parse_guard_comments(
         body = match.group("body").strip()
         if not body or not body.replace("_", "a").isidentifier():
             errors.append((
-                tok.start[0],
+                line,
                 f"guarded-by lock name {body!r} is not an identifier",
             ))
             continue
-        by_line[tok.start[0]] = body
+        by_line[line] = body
     return by_line, errors
 
 
@@ -509,16 +502,11 @@ class _StateScanner:
 
     def collect_awaited(self) -> None:
         """Record calls that sit directly under ``await``."""
-        body = self.node.body
-        statements = body if isinstance(body, list) else [ast.Expr(body)]
-        awaited: set[int] = set()
-        for stmt in statements:
-            for item in ast.walk(stmt):
-                if isinstance(item, ast.Await) and isinstance(
-                    item.value, ast.Call
-                ):
-                    awaited.add(id(item.value))
-        self._awaited = frozenset(awaited)
+        self._awaited = frozenset(
+            id(item.value) for item in self.node.items
+            if isinstance(item, ast.Await)
+            and isinstance(item.value, ast.Call)
+        )
 
     def _add_access(self, key: StateKey, line: int, write: bool,
                     atomic: bool, guard: str | None, op: str) -> None:
@@ -531,17 +519,11 @@ class _StateScanner:
         ))
 
 
-def bind_guard_comments(
-    model: ContextModel, state: StateModel,
-    sources: dict[str, str],
-) -> None:
-    """Parse and bind guarded-by annotations per module source text."""
+def bind_guard_comments(model: ContextModel, state: StateModel) -> None:
+    """Parse and bind guarded-by annotations of every project module."""
     project = model.project
     for info in project.by_qual.values():
-        text = sources.get(info.path)
-        if text is None:
-            continue
-        by_line, errors = parse_guard_comments(text)
+        by_line, errors = parse_guard_comments(info.source.comments)
         for line, message in errors:
             state.guard_issues.append(GuardIssue(
                 path=info.path, line=line, message=message,
@@ -869,8 +851,7 @@ def _collect_reinit(model: ContextModel, state: StateModel) -> None:
                 stack.append(lam)
 
 
-def build_state(model: ContextModel,
-                sources: dict[str, str]) -> StateModel:
+def build_state(model: ContextModel) -> StateModel:
     """Run every state collection pass for a solved context model."""
     state = StateModel()
     all_nodes = list(model.nodes.values()) + list(model.lambda_nodes)
@@ -878,7 +859,7 @@ def build_state(model: ContextModel,
         scanner = _StateScanner(model, state, node)
         scanner.collect_awaited()
         scanner.scan()
-    bind_guard_comments(model, state, sources)
+    bind_guard_comments(model, state)
     _collect_shared_classes(model, state)
     _collect_reinit(model, state)
     _collect_resources(model, state)

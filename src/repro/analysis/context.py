@@ -16,11 +16,35 @@ memoized by extension: its return value is the object the memo shares.
 from __future__ import annotations
 
 import ast
+import io
+import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 
 #: Key-derivation callables that mark the enclosing function as part of
 #: the content-hash cache contract.
 KEY_FUNCTIONS = frozenset({"stable_hash", "config_key"})
+
+
+#: ``(line, text)`` of every comment token in a module, in file order.
+CommentTokens = tuple[tuple[int, str], ...]
+
+
+def scan_comments(source: str) -> CommentTokens:
+    """Every comment of ``source``, found with :mod:`tokenize`.
+
+    Mentions inside strings and docstrings are not comments and are
+    never returned. A file that does not tokenize yields no comments;
+    the runner reports it as ``SYNTAX`` instead.
+    """
+    try:
+        return tuple(
+            (tok.start[0], tok.string)
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.COMMENT
+        )
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        return ()
 
 
 @dataclass(frozen=True)
@@ -30,6 +54,15 @@ class ModuleSource:
     path: str
     source: str
     tree: ast.Module
+
+    @cached_property
+    def comments(self) -> CommentTokens:
+        """The module's comment table, tokenized once per instance.
+
+        Every ``# repro:`` grammar (``noqa``, ``dim``, ``guarded-by``,
+        ``keyed-by``/``key-exempt``) reads this one table.
+        """
+        return scan_comments(self.source)
 
 
 def _call_name(node: ast.expr) -> str | None:

@@ -84,13 +84,20 @@ class ModuleInfo:
     """One module's contribution to the project tables."""
 
     qualname: str
-    path: str
-    tree: ast.Module
-    comments: DimComments
+    source: ModuleSource
+    dims: DimComments
     # local name -> ("module", qualname) or ("symbol", qualname)
     imports: dict[str, tuple[str, str]] = field(default_factory=dict)
     # module-level constant dims, filled by the engine's constant pass
     constants: dict[str, DimValue] = field(default_factory=dict)
+
+    @property
+    def path(self) -> str:
+        return self.source.path
+
+    @property
+    def tree(self) -> ast.Module:
+        return self.source.tree
 
 
 @dataclass  # repro: noqa[SPEC001] -- mutable fixpoint fact table
@@ -164,7 +171,7 @@ def _collect_function(
     owner: ClassInfo | None,
     qual_prefix: str,
 ) -> FunctionInfo:
-    pins = _signature_pins(node, module.comments)
+    pins = _signature_pins(node, module.dims)
     decorators = _decorator_names(node)
     args = node.args
     formals = [*args.posonlyargs, *args.args, *args.kwonlyargs]
@@ -250,7 +257,7 @@ def _collect_body(
                     inner.target, ast.Name
                 ):
                     name = inner.target.id
-                    line_pins = module.comments.in_range(
+                    line_pins = module.dims.in_range(
                         inner.lineno, inner.end_lineno or inner.lineno
                     )
                     pin = line_pins.get(name) or suffix_dim(name)
@@ -272,9 +279,8 @@ def build_project(modules: list[ModuleSource]) -> Project:
             qualname += "_"
         info = ModuleInfo(
             qualname=qualname,
-            path=source.path,
-            tree=source.tree,
-            comments=parse_dim_comments(source.source),
+            source=source,
+            dims=parse_dim_comments(source.comments),
         )
         _collect_imports(source.tree, info.imports)
         project.modules[source.path] = info

@@ -21,11 +21,10 @@ inference: pinned names are what call sites and assignments are checked
 
 from __future__ import annotations
 
-import io
 import re
-import tokenize
 from dataclasses import dataclass, field
 
+from repro.analysis.context import CommentTokens
 from repro.analysis.dimensional.dim import (
     AMPERE,
     BIT,
@@ -129,25 +128,19 @@ class DimComments:
         return merged
 
 
-def parse_dim_comments(source: str) -> DimComments:
-    """Scan a module's source for dimension annotations.
+def parse_dim_comments(comments: CommentTokens) -> DimComments:
+    """Collect dimension annotations from a module's comment table.
 
-    Annotations are comments, found with :mod:`tokenize` so mentions in
-    strings and docstrings are ignored. Each binds one or more names on
-    its line: ``# repro: dim[cap: f, return: s]``.
+    ``comments`` is :attr:`ModuleSource.comments
+    <repro.analysis.context.ModuleSource.comments>`, so mentions in
+    strings and docstrings are never seen. Each annotation binds one or
+    more names on its line: ``# repro: dim[cap: f, return: s]``.
     """
     table = DimComments()
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return table  # unparseable file: runner reports SYNTAX instead
-    for tok in tokens:
-        if tok.type != tokenize.COMMENT:
-            continue
-        match = _DIM_RE.search(tok.string)
+    for lineno, text in comments:
+        match = _DIM_RE.search(text)
         if match is None:
             continue
-        lineno = tok.start[0]
         entries = table.by_line.setdefault(lineno, {})
         for item in match.group("body").split(","):
             item = item.strip()

@@ -13,16 +13,17 @@ Two comment forms drive the cache-key soundness pass, mirroring the
   justification is exactly the silent staleness the pass exists to
   prevent, and is rejected as KEYNOTE.
 
-Comments are collected with :mod:`tokenize` so strings that merely look
-like comments are never matched.
+Declarations are read from the module's one comment table
+(:attr:`ModuleSource.comments <repro.analysis.context.ModuleSource
+.comments>`), so strings that merely look like comments never match.
 """
 
 from __future__ import annotations
 
 import re
-import tokenize
 from dataclasses import dataclass, field
-from io import StringIO
+
+from repro.analysis.context import CommentTokens
 
 _KEYED_BY_RE = re.compile(r"#\s*repro:\s*keyed-by\[(?P<body>[^\]]*)\]")
 _KEY_EXEMPT_RE = re.compile(
@@ -62,19 +63,12 @@ class KeyComments:
         return keyed, exempt, claimed
 
 
-def parse_key_comments(source: str) -> KeyComments:
-    """Collect every key declaration comment in a module source."""
+def parse_key_comments(comments: CommentTokens) -> KeyComments:
+    """Collect every key declaration from a module's comment table."""
     out = KeyComments()
-    try:
-        tokens = list(tokenize.generate_tokens(StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return out
-    for tok in tokens:
-        if tok.type != tokenize.COMMENT:
-            continue
-        line = tok.start[0]
+    for line, text in comments:
         matched = False
-        keyed = _KEYED_BY_RE.search(tok.string)
+        keyed = _KEYED_BY_RE.search(text)
         if keyed is not None:
             matched = True
             names = [
@@ -91,7 +85,7 @@ def parse_key_comments(source: str) -> KeyComments:
                     ))
             if good:
                 out.keyed_by.setdefault(line, set()).update(good)
-        exempted = _KEY_EXEMPT_RE.search(tok.string)
+        exempted = _KEY_EXEMPT_RE.search(text)
         if exempted is not None:
             matched = True
             body = exempted.group("body")
@@ -113,7 +107,7 @@ def parse_key_comments(source: str) -> KeyComments:
             else:
                 out.exempt.setdefault(line, {})[name] = reason
         if not matched:
-            loose = _LOOSE_RE.search(tok.string)
+            loose = _LOOSE_RE.search(text)
             if loose is not None:
                 form = loose.group("form")
                 out.errors.append((

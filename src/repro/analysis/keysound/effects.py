@@ -34,7 +34,6 @@ from repro.analysis.concurrency.contexts import (
     MAX_PASSES,
     Node,
     dotted_chain,
-    iter_own_statements,
 )
 from repro.analysis.concurrency.state import StateKey, StateModel
 
@@ -120,12 +119,6 @@ def is_neutral(node: Node) -> bool:
     )
 
 
-def _own_items(node: Node) -> list[ast.AST]:
-    body = node.body
-    statements = body if isinstance(body, list) else [ast.Expr(body)]
-    return list(iter_own_statements(statements))
-
-
 def _is_set_expr(expr: ast.expr) -> bool:
     if isinstance(expr, (ast.Set, ast.SetComp)):
         return True
@@ -145,7 +138,7 @@ def _scan_nondet(node: Node) -> dict[str, Fact]:
                   f"in {node.short}",
         ))
 
-    for item in _own_items(node):
+    for item in node.items:
         if isinstance(item, ast.Call):
             chain = dotted_chain(item.func, node.module)
             if chain is not None:
@@ -183,7 +176,7 @@ def _scan_nondet(node: Node) -> dict[str, Fact]:
 
 def _scan_mentions(node: Node) -> set[str]:
     names: set[str] = set()
-    for item in _own_items(node):
+    for item in node.items:
         if isinstance(item, ast.Name):
             names.add(item.id)
         elif isinstance(item, ast.Attribute):

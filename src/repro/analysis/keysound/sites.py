@@ -26,7 +26,6 @@ from repro.analysis.concurrency.contexts import (
     ContextModel,
     Node,
     dotted_chain,
-    iter_own_statements,
 )
 
 #: Decorator terminals that memoize the decorated def on its arguments.
@@ -82,9 +81,7 @@ class _Tracer:
         #: name -> (expr, tuple index | None); index selects a zip arm
         #: or a tuple-unpack slot.
         self.producers: dict[str, tuple[ast.expr, int | None]] = {}
-        body = node.body
-        statements = body if isinstance(body, list) else [ast.Expr(body)]
-        for item in iter_own_statements(statements):
+        for item in node.items:
             if isinstance(item, ast.Assign):
                 for target in item.targets:
                     self._note_target(target, item.value)
@@ -310,9 +307,7 @@ class _SiteScanner:
 
     def scan(self) -> list[MemoSite]:
         sites: list[MemoSite] = []
-        body = self.node.body
-        statements = body if isinstance(body, list) else [ast.Expr(body)]
-        for item in iter_own_statements(statements):
+        for item in self.node.items:
             if not isinstance(item, ast.Call):
                 continue
             func = item.func

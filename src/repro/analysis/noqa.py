@@ -9,37 +9,40 @@ matching suppression comment. Two forms exist:
 * ``# repro: noqa[CP003]`` / ``# repro: noqa[CP003,NUM001]`` — suppress
   only the listed rules.
 
-Suppression comments are found with :mod:`tokenize`, so mentions inside
-strings and docstrings are ignored. Unknown rule ids inside the
-brackets are reported by the runner as ``NOQA`` findings rather than
-silently ignored.
+Suppressions are read from the module's one comment table
+(:attr:`ModuleSource.comments <repro.analysis.context.ModuleSource
+.comments>`), so mentions inside strings and docstrings are ignored.
+Any bracket body is parsed: an empty list (``noqa[]``) or a token that
+is not a known rule id (``noqa[NUM-002]``, ``noqa[NUM002;CP003]``) is
+reported by the runner as a ``NOQA`` finding, and only the valid ids
+listed are suppressed — a malformed targeted suppression never widens
+into a blanket one.
 """
 
 from __future__ import annotations
 
-import io
 import re
-import tokenize
 from dataclasses import dataclass, field
 
-_NOQA_RE = re.compile(
-    r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?"
-)
+from repro.analysis.context import CommentTokens
+
+_NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<rules>[^\]]*)\]?)?")
 
 
 @dataclass(frozen=True)
 class Suppressions:
-    """Per-file suppression table built from the source text.
+    """Per-file suppression table built from the comment table.
 
     Attributes:
         blanket_lines: Lines carrying a bare ``# repro: noqa``.
         rule_lines: Line -> set of rule ids suppressed on that line.
-        unknown: (line, token) pairs for unrecognized rule ids.
+        errors: (line, message) pairs for malformed suppressions,
+            reported by the runner as ``NOQA`` findings.
     """
 
     blanket_lines: set[int] = field(default_factory=set)
     rule_lines: dict[int, set[str]] = field(default_factory=dict)
-    unknown: list[tuple[int, str]] = field(default_factory=list)
+    errors: list[tuple[int, str]] = field(default_factory=list)
 
     def is_suppressed(self, line: int, rule: str) -> bool:
         """Whether ``rule`` is suppressed on 1-based ``line``."""
@@ -49,39 +52,38 @@ class Suppressions:
 
 
 def parse_suppressions(
-    source: str, known_rules: frozenset[str]
+    comments: CommentTokens, known_rules: frozenset[str]
 ) -> Suppressions:
-    """Scan ``source`` for suppression comments.
+    """Collect the suppression comments of one module.
 
     Args:
-        source: Full module text.
+        comments: The module's ``(line, text)`` comment table.
         known_rules: Valid rule ids; anything else is recorded in
-            :attr:`Suppressions.unknown`.
+            :attr:`Suppressions.errors`.
     """
     table = Suppressions()
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        # Unparseable file: the runner reports a SYNTAX finding instead.
-        return table
-    for tok in tokens:
-        if tok.type != tokenize.COMMENT:
-            continue
-        match = _NOQA_RE.search(tok.string)
+    for lineno, text in comments:
+        match = _NOQA_RE.search(text)
         if match is None:
             continue
-        lineno = tok.start[0]
         raw = match.group("rules")
         if raw is None:
             table.blanket_lines.add(lineno)
             continue
         rules = table.rule_lines.setdefault(lineno, set())
-        for token in raw.split(","):
-            token = token.strip()
+        tokens = [token.strip() for token in raw.split(",")]
+        if not any(tokens):
+            table.errors.append((
+                lineno, "suppression names no rule ids: expected "
+                        "'# repro: noqa[RULE, ...]'",
+            ))
+        for token in tokens:
             if not token:
                 continue
             if token.upper() in known_rules:
                 rules.add(token.upper())
             else:
-                table.unknown.append((lineno, token))
+                table.errors.append((
+                    lineno, f"suppression names unknown rule {token!r}",
+                ))
     return table
