@@ -309,6 +309,26 @@ class TestDim004CallBoundary:
                 return stage(fo4_s)
         """) == []
 
+    def test_from_package_import_module_resolves_into_the_module(
+        self, tmp_path,
+    ):
+        # ``from repro.batch import kernels`` binds a module: the call
+        # must resolve to kernels.subthreshold_leakage_power, not
+        # duck-type onto the same-named Technology method (whose one
+        # parameter is a width in m).
+        path = tmp_path / "use_kernels.py"
+        path.write_text(textwrap.dedent("""
+            from repro.batch import kernels
+
+
+            def leakage_w(tech, width_m):
+                return kernels.subthreshold_leakage_power(
+                    tech.device.i_off, width_m, tech.vdd,
+                )
+        """))
+        result = lint_paths([path], dimensional=True)
+        assert result.findings == ()
+
 
 class TestDimNoteMalformedAnnotations:
     def test_unknown_unit_is_reported(self):

@@ -101,6 +101,43 @@ class TestSharedAnalysis:
         assert shared._conc_model is not None
         assert shared._conc_state is not None
 
+    def test_each_file_is_parsed_and_tokenized_once(self, monkeypatch):
+        # A package file linted as a target, with every pass and so all
+        # four comment grammars: each file of the run still goes
+        # through ast.parse once and tokenize once.
+        import ast
+        import tokenize
+        from collections import Counter
+
+        import repro
+
+        parsed_texts = Counter()
+        parsed_files = Counter()
+        tokenized_texts = Counter()
+        real_parse = ast.parse
+        real_tokens = tokenize.generate_tokens
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed_files[str(filename)] += 1
+            parsed_texts[source] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        def counting_tokens(readline):
+            tokenized_texts[readline.__self__.getvalue()] += 1
+            return real_tokens(readline)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        monkeypatch.setattr(tokenize, "generate_tokens", counting_tokens)
+        target = Path(repro.__file__).parent / "units.py"
+        result = lint_paths(
+            [target], dimensional=True, concurrency=True, keysound=True,
+        )
+        assert result.files_checked == 1
+        assert parsed_files[str(target)] == 1
+        assert set(parsed_files.values()) == {1}
+        # Files with identical text (empty __init__.py) share a key.
+        assert tokenized_texts == parsed_texts
+
 
 class TestParallelDispatch:
     def test_jobs_do_not_change_findings(self, tmp_path):
