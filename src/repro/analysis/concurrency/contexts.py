@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 
 from repro.analysis.dimensional.callgraph import (
     ClassInfo,
-    FunctionInfo,
     ModuleInfo,
     Project,
+    fixpoint,
 )
 
 #: Context names (values appear verbatim in findings).
@@ -226,33 +226,15 @@ class _TypeEnv:
         if got is not None:
             return got
         # Imported symbol that is itself a class.
-        imported = self.node.module.imports.get(name)
-        if imported is not None and imported[0] == "symbol":
-            if imported[1] in self.model.project.classes:
-                return imported[1]
+        binding = self.node.module.bind(name)
+        if binding is not None and not binding.local and \
+                binding.target in self.model.project.classes:
+            return binding.target
         return None
 
 
-def dotted_chain(node: ast.expr, module: ModuleInfo) -> str | None:
-    """Render ``a.b.c`` resolving the head through the import map."""
-    parts: list[str] = []
-    cur = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    head = cur.id
-    imported = module.imports.get(head)
-    if imported is not None:
-        kind, qual = imported
-        head = qual
-    parts.append(head)
-    return ".".join(reversed(parts))
-
-
-def _ctor_type(call: ast.expr, module: ModuleInfo,
-               project: Project) -> str | None:
+def ctor_type(call: ast.expr, module: ModuleInfo,
+              project: Project) -> str | None:
     """Type of a constructor-call expression, or None."""
     if not isinstance(call, ast.Call):
         return None
@@ -260,18 +242,15 @@ def _ctor_type(call: ast.expr, module: ModuleInfo,
     terminal: str | None = None
     if isinstance(func, ast.Name):
         terminal = func.id
-        imported = module.imports.get(terminal)
-        if imported is not None and imported[0] == "symbol":
-            if imported[1] in project.classes:
-                return imported[1]
-            if imported[1].split(".")[0] in _ASYNC_MODULES:
+        binding = module.bind(terminal)
+        if binding is not None:
+            if binding.target in project.classes:
+                return binding.target
+            if binding.target.split(".")[0] in _ASYNC_MODULES:
                 return None
-        local_qual = f"{module.qualname}.{terminal}"
-        if local_qual in project.classes:
-            return local_qual
     elif isinstance(func, ast.Attribute):
         terminal = func.attr
-        chain = dotted_chain(func, module)
+        chain = module.qualify(func)
         if chain is not None:
             head = chain.split(".")[0]
             if head in _ASYNC_MODULES:
@@ -295,18 +274,13 @@ def _annotation_classes(ann: ast.expr, module: ModuleInfo,
             name = sub.value  # forward reference
         if name is None:
             continue
-        imported = module.imports.get(name)
-        if imported is not None and imported[0] == "symbol" \
-                and imported[1] in project.classes:
-            found.append(imported[1])
+        binding = module.bind(name)
+        if binding is not None and binding.target in project.classes:
+            found.append(binding.target)
             continue
-        local_qual = f"{module.qualname}.{name}"
-        if local_qual in project.classes:
-            found.append(local_qual)
-        else:
-            for cls in project.class_by_name.get(name, []):
-                found.append(cls.qualname)
-                break
+        for cls in project.class_by_name.get(name, []):
+            found.append(cls.qualname)
+            break
     return found
 
 
@@ -332,7 +306,7 @@ def _collect_types(model: ContextModel) -> None:
                     continue
                 key = (info.qualname, target.id)
                 if value is not None:
-                    typ = _ctor_type(value, info, project)
+                    typ = ctor_type(value, info, project)
                     if typ is not None:
                         model.global_types[key] = typ
                 if ann is not None:
@@ -364,7 +338,7 @@ def _collect_types(model: ContextModel) -> None:
                         and target.value.id == self_name
                         and stmt.value is not None
                     ):
-                        typ = _ctor_type(stmt.value, info, project)
+                        typ = ctor_type(stmt.value, info, project)
                         key = (cls.qualname, target.attr)
                         if typ is not None:
                             model.field_types.setdefault(key, typ)
@@ -428,7 +402,7 @@ def iter_own_statements(body: list[ast.stmt]):
         stack.extend(ast.iter_child_nodes(item))
 
 
-class _FunctionScanner:
+class FunctionScanner:
     """Extract call/spawn/callable-arg edges from one node's body."""
 
     def __init__(self, model: ContextModel, node: Node) -> None:
@@ -440,22 +414,26 @@ class _FunctionScanner:
 
     # -- resolution ------------------------------------------------------
 
-    def _function_by_name(self, name: str) -> Node | None:
-        module = self.node.module
-        local = self.model.nodes.get(f"{module.qualname}.{name}")
-        if local is not None:
-            return local
-        imported = module.imports.get(name)
-        if imported is not None and imported[0] == "symbol":
-            target = self.model.nodes.get(imported[1])
-            if target is not None:
-                return target
-            cls = self.model.project.classes.get(imported[1])
-            if cls is not None:
-                init = cls.methods.get("__init__")
-                if init is not None:
-                    return self.model.nodes.get(init.qualname)
+    def function_by_name(self, name: str) -> Node | None:
+        """The node a bare name calls: a def, or an imported class's
+        ``__init__``."""
+        binding = self.node.module.bind(name)
+        if binding is None or binding.module:
+            return None
+        target = self.model.nodes.get(binding.target)
+        if target is not None or binding.local:
+            return target
+        cls = self.model.project.classes.get(binding.target)
+        if cls is not None:
+            init = cls.methods.get("__init__")
+            if init is not None:
+                return self.model.nodes.get(init.qualname)
         return None
+
+    def chain_target(self, expr: ast.expr) -> Node | None:
+        """The node a dotted chain names verbatim (``pkg.mod.fn``)."""
+        chain = self.node.module.qualify(expr)
+        return self.model.nodes.get(chain) if chain is not None else None
 
     def _methods_named(self, attr: str,
                        receiver_type: str | None) -> list[Node]:
@@ -495,7 +473,7 @@ class _FunctionScanner:
             if base is not None and not base.startswith("#"):
                 return self.model.field_types.get((base, expr.attr))
         if isinstance(expr, ast.Call):
-            return _ctor_type(expr, self.node.module, self.model.project)
+            return ctor_type(expr, self.node.module, self.model.project)
         return None
 
     def _resolve_callable(
@@ -510,7 +488,7 @@ class _FunctionScanner:
                 return list(self.aliases[expr.id]), None
             if expr.id in self.node.params:
                 return [], expr.id
-            fn = self._function_by_name(expr.id)
+            fn = self.function_by_name(expr.id)
             return ([fn] if fn is not None else []), None
         if isinstance(expr, ast.Attribute):
             receiver_type = None
@@ -522,9 +500,8 @@ class _FunctionScanner:
                     receiver_type = self.env.lookup(expr.value.id)
             else:
                 receiver_type = self._expr_type(expr.value)
-            chain = dotted_chain(expr, self.node.module)
-            if chain is not None and receiver_type is None:
-                direct = self.model.nodes.get(chain)
+            if receiver_type is None:
+                direct = self.chain_target(expr)
                 if direct is not None:
                     return [direct], None
             return self._methods_named(expr.attr, receiver_type), None
@@ -535,7 +512,7 @@ class _FunctionScanner:
         if isinstance(expr, ast.Call) and expr.args:
             # ``functools.partial(fn, ...)`` call sites: the partial
             # object runs ``fn``, so resolve through to it.
-            chain = dotted_chain(expr.func, self.node.module)
+            chain = self.node.module.qualify(expr.func)
             if chain is not None and chain.rsplit(".", 1)[-1] == "partial":
                 return self._resolve_callable(expr.args[0])
         return [], None
@@ -572,7 +549,7 @@ class _FunctionScanner:
         for lam in lambda_bodies:
             node = self._lambda_node(lam)
             skip.update(id(item) for item in node.items)
-            lam_scanner = _FunctionScanner(self.model, node)
+            lam_scanner = FunctionScanner(self.model, node)
             lam_scanner.aliases = self.aliases
             lam_scanner._scan_calls(list(ast.walk(lam.body)), set())
         self._scan_calls(own, skip)
@@ -636,7 +613,7 @@ class _FunctionScanner:
                 out.append((call.args[1], THREAD,
                             "handed to run_in_executor"))
                 return out
-        chain = dotted_chain(func, self.node.module) or ""
+        chain = self.node.module.qualify(func) or ""
         terminal = chain.rsplit(".", 1)[-1]
         if chain == "asyncio.to_thread" and call.args:
             out.append((call.args[0], THREAD, "handed to asyncio.to_thread"))
@@ -755,13 +732,10 @@ def _bind_decorators(model: ContextModel) -> None:
             target = dec.func if isinstance(dec, ast.Call) else dec
             dec_qual: str | None = None
             if isinstance(target, ast.Name):
-                imported = node.module.imports.get(target.id)
-                if imported is not None and imported[0] == "symbol":
-                    dec_qual = imported[1]
-                else:
-                    dec_qual = f"{node.module.qualname}.{target.id}"
+                binding = node.module.bind(target.id)
+                dec_qual = binding.target if binding is not None else None
             elif isinstance(target, ast.Attribute):
-                dec_qual = dotted_chain(target, node.module)
+                dec_qual = node.module.qualify(target)
             if dec_qual is None:
                 continue
             dec_node = model.nodes.get(dec_qual)
@@ -814,15 +788,15 @@ def _scan_module_atfork(model: ContextModel) -> None:
             for sub in ast.walk(item):
                 if not isinstance(sub, ast.Call):
                     continue
-                if dotted_chain(sub.func, info) != "os.register_at_fork":
+                if info.qualify(sub.func) != "os.register_at_fork":
                     continue
                 for kw in sub.keywords:
                     if kw.arg != "after_in_child" or \
                             not isinstance(kw.value, ast.Name):
                         continue
-                    target = model.nodes.get(
-                        f"{info.qualname}.{kw.value.id}"
-                    )
+                    binding = info.bind(kw.value.id)
+                    target = model.nodes.get(binding.target) \
+                        if binding is not None else None
                     if target is None:
                         continue
                     target.is_spawn_target = True
@@ -846,11 +820,10 @@ def _seed(model: ContextModel) -> None:
             for sub in ast.walk(item):
                 if not isinstance(sub, ast.Call):
                     continue
-                name = None
-                if isinstance(sub.func, ast.Name):
-                    name = sub.func.id
-                local = model.nodes.get(f"{info.qualname}.{name}") \
-                    if name else None
+                binding = info.bind(sub.func.id) \
+                    if isinstance(sub.func, ast.Name) else None
+                local = model.nodes.get(binding.target) \
+                    if binding is not None and binding.local else None
                 if local is not None:
                     local.in_degree += 1
                     _add_ctx(model, local, MAIN,
@@ -877,7 +850,8 @@ def _add_ctx(model: ContextModel, node: Node, context: str,
 def solve_contexts(model: ContextModel) -> None:
     """Propagate contexts along call/spawn/escape edges to a fixpoint."""
     all_nodes = list(model.nodes.values()) + list(model.lambda_nodes)
-    for sweep in range(MAX_PASSES):
+
+    def sweep() -> bool:
         changed = False
         for node in all_nodes:
             # Lambdas run where their enclosing function runs, unless
@@ -930,9 +904,9 @@ def solve_contexts(model: ContextModel) -> None:
                         f"called from {node.short} "
                         f"({model.reason(node, context)})",
                     )
-        model.passes = sweep + 1
-        if not changed:
-            break
+        return changed
+
+    model.passes = fixpoint(sweep, MAX_PASSES)
 
 
 def build_contexts(project: Project) -> ContextModel:
@@ -941,7 +915,7 @@ def build_contexts(project: Project) -> ContextModel:
     _collect_types(model)
     _make_nodes(model)
     for node in list(model.nodes.values()):
-        _FunctionScanner(model, node).scan()
+        FunctionScanner(model, node).scan()
     # Escaping spawn params get a readable description for why-chains.
     for (qual, param), contexts in model.escapes.items():
         for context in contexts:

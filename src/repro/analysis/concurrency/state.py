@@ -33,9 +33,10 @@ from repro.analysis.concurrency.contexts import (
     T_PROCESS_EXECUTOR,
     T_SOCKET,
     T_THREAD_EXECUTOR,
-    dotted_chain,
+    ctor_type,
 )
 from repro.analysis.context import CommentTokens
+from repro.analysis.dimensional.callgraph import fixpoint
 
 #: A shared-state key: ("global", module_qual, name) or
 #: ("field", class_qual, attr).
@@ -217,22 +218,8 @@ class _StateScanner:
         self.in_init = node.owner is not None and node.name in (
             "__init__", "__post_init__",
         )
-        self.module_globals = self._module_global_names()
         self.declared_globals: set[str] = set()
         self.locals_seen: set[str] = set(node.params)
-
-    def _module_global_names(self) -> set[str]:
-        names: set[str] = set()
-        for stmt in self.module.tree.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                names.add(stmt.target.id)
-        return names
 
     # -- key resolution --------------------------------------------------
 
@@ -242,7 +229,7 @@ class _StateScanner:
             if name in self.locals_seen and name not in \
                     self.declared_globals:
                 return None
-            if name in self.module_globals:
+            if name in self.module.global_names:
                 return ("global", self.module.qualname, name)
             return None
         if isinstance(expr, ast.Attribute) and isinstance(
@@ -254,9 +241,9 @@ class _StateScanner:
             ):
                 return ("field", self.node.owner.qualname, expr.attr)
             # Module attribute access: ``metrics._COUNTERS``.
-            imported = self.module.imports.get(expr.value.id)
-            if imported is not None and imported[0] == "module":
-                target = self.model.project.by_qual.get(imported[1])
+            binding = self.module.bind(expr.value.id)
+            if binding is not None and binding.module:
+                target = self.model.project.by_qual.get(binding.target)
                 if target is not None:
                     return ("global", target.qualname, expr.attr)
             # Typed receiver: ``memo.hits`` where memo: Memo.
@@ -411,8 +398,7 @@ class _StateScanner:
         if len(stmt.targets) == 1 and isinstance(
             stmt.targets[0], ast.Name
         ):
-            from repro.analysis.concurrency.contexts import _ctor_type
-            typ = _ctor_type(stmt.value, self.module, self.model.project)
+            typ = ctor_type(stmt.value, self.module, self.model.project)
             if typ is not None:
                 self._local_types[stmt.targets[0].id] = typ
 
@@ -476,7 +462,7 @@ class _StateScanner:
                 )
         # Blocking primitives for CONC002.
         what: str | None = None
-        chain = dotted_chain(func, self.module)
+        chain = self.module.qualify(func)
         if chain is not None and chain in BLOCKING_CHAINS:
             what = BLOCKING_CHAINS[chain]
         elif chain is not None and chain in BLOCKING_PROJECT:
@@ -707,14 +693,7 @@ def _collect_shared_classes(model: ContextModel,
         info = project.by_qual.get(cls.module_qual)
         if info is None:
             continue
-        module_globals = {
-            t.id
-            for stmt in info.tree.body
-            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
-            for t in (stmt.targets if isinstance(stmt, ast.Assign)
-                      else [stmt.target])
-            if isinstance(t, ast.Name)
-        }
+        module_globals = info.global_names
         for method in cls.methods.values():
             self_name = method.self_name
             if self_name is None:
@@ -749,22 +728,14 @@ def _collect_shared_classes(model: ContextModel,
     # Instances constructed into module-level containers:
     # ``_HISTOGRAMS[name] = _HistogramState()``.
     for node in model.nodes.values():
-        module_globals = {
-            t.id
-            for stmt in node.module.tree.body
-            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
-            for t in (stmt.targets if isinstance(stmt, ast.Assign)
-                      else [stmt.target])
-            if isinstance(t, ast.Name)
-        }
+        module_globals = node.module.global_names
         body = node.body
         if not isinstance(body, list):
             continue
         for item in ast.walk(ast.Module(body=body, type_ignores=[])):
             if not isinstance(item, ast.Assign):
                 continue
-            from repro.analysis.concurrency.contexts import _ctor_type
-            typ = _ctor_type(item.value, node.module, project)
+            typ = ctor_type(item.value, node.module, project)
             if typ is None or typ.startswith("#"):
                 continue
             for target in item.targets:
@@ -781,8 +752,7 @@ def _collect_shared_classes(model: ContextModel,
                     mark(typ, f"stored into a module-level container "
                               f"by {node.short}")
     # Transitive: fields of shared classes are shared.
-    changed = True
-    while changed:
+    def sweep() -> bool:
         changed = False
         for (cls, attr), typ in model.field_types.items():
             if cls in state.shared_classes and \
@@ -792,6 +762,11 @@ def _collect_shared_classes(model: ContextModel,
                 mark(typ, f"held by shared class "
                           f"{project.classes[cls].name} as .{attr}")
                 changed = True
+        return changed
+
+    # A changing sweep marks one more class named in field_types, so
+    # this cap never binds.
+    fixpoint(sweep, len(model.field_types) + 1)
 
 
 def _collect_resources(model: ContextModel, state: StateModel) -> None:

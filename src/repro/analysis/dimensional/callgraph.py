@@ -1,18 +1,26 @@
-"""Project-wide symbol collection for the dimensional analysis.
+"""Project-wide symbol collection shared by the whole-program passes.
 
 One cheap pre-pass over every parsed module builds the structures the
-inference engine consumes: every function/method definition with its
-parameter and return *pins* (suffix- or annotation-derived dimensions),
-every class with its field pins, per-module import maps for call
-resolution, and name-indexed views used for duck-typed attribute
-resolution when the receiver's class is statically unknown.
+dimensional, concurrency and keysound passes consume: every
+function/method definition with its parameter and return *pins*
+(suffix- or annotation-derived dimensions), every class with its field
+pins, and name-indexed views used for duck-typed attribute resolution
+when the receiver's class is statically unknown.
+
+Module-scope name binding is answered here and only here:
+:meth:`ModuleInfo.bind` says what a bare name denotes,
+:meth:`ModuleInfo.qualify` renders a dotted chain, and
+:attr:`ModuleInfo.global_names` lists the module-level assigned names.
+:func:`fixpoint` is the one loop every pass iterates its facts with.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from repro.analysis.context import ModuleSource
 from repro.analysis.dimensional.dim import UNKNOWN, Dim, DimValue
@@ -79,6 +87,19 @@ class ClassInfo:
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
 
 
+class Binding(NamedTuple):
+    """What a bare name denotes at module scope.
+
+    ``target`` is the dotted qualname of a module-level def or class of
+    the module (``local``), or else the name's import target; ``module``
+    is true when an ``import`` statement bound the name to a module.
+    """
+
+    target: str
+    module: bool
+    local: bool
+
+
 @dataclass  # repro: noqa[SPEC001] -- mutable fixpoint fact table
 class ModuleInfo:
     """One module's contribution to the project tables."""
@@ -98,6 +119,73 @@ class ModuleInfo:
     @property
     def tree(self) -> ast.Module:
         return self.source.tree
+
+    @cached_property
+    def _defined(self) -> frozenset[str]:
+        """Names of the module-level defs and classes."""
+        return frozenset(
+            stmt.name for stmt in self.tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+        )
+
+    @cached_property
+    def global_names(self) -> frozenset[str]:
+        """Names a module-level ``=`` or annotated assignment binds."""
+        names: set[str] = set()
+        for stmt in self.tree.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            else:
+                continue
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        return frozenset(names)
+
+    def bind(self, name: str) -> Binding | None:
+        """What ``name`` denotes at module scope, or None if unbound.
+
+        A module-level def or class of this module wins over an import
+        of the same name.
+        """
+        if name in self._defined:
+            return Binding(f"{self.qualname}.{name}", module=False,
+                           local=True)
+        imported = self.imports.get(name)
+        if imported is None:
+            return None
+        kind, target = imported
+        return Binding(target, module=kind == "module", local=False)
+
+    def qualify(self, expr: ast.expr) -> str | None:
+        """Dotted name of a ``Name``/``Attribute`` chain (``a.b.c``).
+
+        Only an imported head is replaced by its import target; any
+        other head, a local def included, is kept as written.
+        """
+        parts: list[str] = []
+        while isinstance(expr, ast.Attribute):
+            parts.append(expr.attr)
+            expr = expr.value
+        if not isinstance(expr, ast.Name):
+            return None
+        imported = self.imports.get(expr.id)
+        parts.append(imported[1] if imported is not None else expr.id)
+        return ".".join(reversed(parts))
+
+
+def fixpoint(step: Callable[[], bool], max_passes: int) -> int:
+    """Run round-robin ``step`` sweeps until one changes nothing.
+
+    ``step`` makes one sweep over its facts in a fixed order and returns
+    whether any fact moved. Stops after ``max_passes`` sweeps at most;
+    returns the number of sweeps run.
+    """
+    for sweep in range(1, max_passes + 1):
+        if not step():
+            return sweep
+    return max_passes
 
 
 @dataclass  # repro: noqa[SPEC001] -- mutable fixpoint fact table

@@ -36,6 +36,7 @@ from repro.analysis.dimensional.callgraph import (
     FunctionInfo,
     ModuleInfo,
     Project,
+    fixpoint,
 )
 from repro.analysis.dimensional.dim import (
     ANY,
@@ -430,13 +431,13 @@ class _Evaluator:
         constant = self.project.constant_dim(self.module.qualname, name)
         if constant is not None:
             return constant, self._dim_why(constant, name)
-        imported = self.module.imports.get(name)
-        if imported is not None and imported[0] == "symbol":
-            module_qual, _, symbol = imported[1].rpartition(".")
+        binding = self.module.bind(name)
+        if binding is not None and not binding.module:
+            module_qual, _, symbol = binding.target.rpartition(".")
             constant = self.project.constant_dim(module_qual, symbol)
             if constant is not None:
                 return constant, self._dim_why(constant, name)
-            if self._resolve_symbol(imported[1]) is not None:
+            if self._resolve_symbol(binding.target) is not None:
                 return UNKNOWN, None  # class/function object as a value
         pinned = suffix_dim(name)
         if pinned is not None:
@@ -444,7 +445,7 @@ class _Evaluator:
         return UNKNOWN, None
 
     def _eval_Attribute(self, node: ast.Attribute) -> tuple[_Abstract, str | None]:
-        module_qual = self._module_chain(node.value)
+        module_qual = self._module_ref(node.value)
         if module_qual is not None:
             if module_qual == "math":
                 return POLY, None  # math.pi, math.e, math.inf, ...
@@ -491,23 +492,27 @@ class _Evaluator:
             return joined
         return UNKNOWN
 
-    def _module_chain(self, node: ast.expr) -> str | None:
-        """Resolve a dotted module reference (``repro.units``), if any."""
-        if isinstance(node, ast.Name):
-            imported = self.module.imports.get(node.id)
-            if imported is None:
-                return None
-            kind, qual = imported
-            # ``from pkg import module`` binds a module as a "symbol".
-            if kind == "module" or qual in self.project.by_qual:
-                return qual
+    def _module_ref(self, node: ast.expr) -> str | None:
+        """The module a dotted reference names (``repro.units``), if any.
+
+        The head must be bound to a module: by ``import``, or by ``from
+        pkg import module`` for a project module. Each attribute step
+        must land on a project module or a direct child of ``repro``.
+        """
+        head = node
+        while isinstance(head, ast.Attribute):
+            head = head.value
+        if not isinstance(head, ast.Name):
             return None
-        if isinstance(node, ast.Attribute):
-            base = self._module_chain(node.value)
-            if base is not None:
-                candidate = f"{base}.{node.attr}"
-                if candidate in self.project.by_qual or base == "repro":
-                    return candidate
+        binding = self.module.bind(head.id)
+        if binding is None or binding.local or not (
+            binding.module or binding.target in self.project.by_qual
+        ):
+            return None
+        chain = self.module.qualify(node)
+        if chain == binding.target or chain in self.project.by_qual \
+                or chain.rpartition(".")[0] == "repro":
+            return chain
         return None
 
     def _eval_BinOp(self, node: ast.BinOp) -> tuple[_Abstract, str | None]:
@@ -815,7 +820,7 @@ class _Evaluator:
     def _call_special(self, node: ast.Call) -> tuple[_Abstract, str | None] | None:
         func = node.func
         if isinstance(func, ast.Attribute):
-            if self._module_chain(func.value) == "math":
+            if self._module_ref(func.value) == "math":
                 return self._math_call(node, func.attr)
             return None
         if not isinstance(func, ast.Name) or func.id in self.env:
@@ -952,30 +957,17 @@ class _Evaluator:
         self, func: ast.expr
     ) -> FunctionInfo | ClassInfo | list[FunctionInfo] | None:
         if isinstance(func, ast.Name):
-            name = func.id
-            local = self.project.functions.get(
-                f"{self.module.qualname}.{name}"
-            )
-            if local is not None:
-                return local
-            local_cls = self.project.classes.get(
-                f"{self.module.qualname}.{name}"
-            )
-            if local_cls is not None:
-                return local_cls
-            imported = self.module.imports.get(name)
-            if imported is not None and imported[0] == "symbol":
-                return self._resolve_symbol(imported[1])
+            binding = self.module.bind(func.id)
+            if binding is not None and not binding.module:
+                return self._resolve_symbol(binding.target)
             if self.function is not None:
                 # Sibling nested def / method referenced without self.
-                scoped = self.project.functions.get(
-                    f"{self.function.qualname}.{name}"
+                return self.project.functions.get(
+                    f"{self.function.qualname}.{func.id}"
                 )
-                if scoped is not None:
-                    return scoped
             return None
         if isinstance(func, ast.Attribute):
-            module_qual = self._module_chain(func.value)
+            module_qual = self._module_ref(func.value)
             if module_qual is not None:
                 return self._resolve_symbol(f"{module_qual}.{func.attr}")
             if (
@@ -1034,10 +1026,7 @@ def _summary_pass(project: Project) -> bool:
 def solve_fixpoint(project: Project, max_passes: int = MAX_PASSES) -> int:
     """Iterate summary passes to a fixpoint; returns the pass count."""
     _constant_pass(project)
-    for sweep in range(1, max_passes + 1):
-        if not _summary_pass(project):
-            return sweep
-    return max_passes
+    return fixpoint(lambda: _summary_pass(project), max_passes)
 
 
 def check_module(project: Project, path: str) -> list[Finding]:

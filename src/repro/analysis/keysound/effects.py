@@ -29,13 +29,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.concurrency.contexts import (
-    ContextModel,
-    MAX_PASSES,
-    Node,
-    dotted_chain,
-)
+from repro.analysis.concurrency.contexts import ContextModel, Node
 from repro.analysis.concurrency.state import StateKey, StateModel
+from repro.analysis.dimensional.callgraph import fixpoint
+
+#: Safety cap on propagation sweeps; real projects converge in 3-6.
+MAX_PASSES = 24
 
 #: Module qualnames (exact or dotted prefixes) whose nodes are
 #: instrumentation: no facts in, no traversal through.
@@ -140,7 +139,7 @@ def _scan_nondet(node: Node) -> dict[str, Fact]:
 
     for item in node.items:
         if isinstance(item, ast.Call):
-            chain = dotted_chain(item.func, node.module)
+            chain = node.module.qualify(item.func)
             if chain is not None:
                 if chain in NONDET_CHAINS:
                     note(NONDET_CHAINS[chain], item.lineno)
@@ -162,7 +161,7 @@ def _scan_nondet(node: Node) -> dict[str, Fact]:
         elif isinstance(item, (ast.Attribute, ast.Subscript)):
             target = item if isinstance(item, ast.Attribute) \
                 else item.value
-            chain = dotted_chain(target, node.module) \
+            chain = node.module.qualify(target) \
                 if isinstance(target, ast.Attribute) else None
             if chain == "os.environ":
                 note("process environment (os.environ)", item.lineno)
@@ -216,7 +215,8 @@ def solve_effects(model: ContextModel, state: StateModel) -> EffectModel:
         )
     # Propagation: callee facts flow to callers with extended chains.
     ordered = sorted(live, key=lambda node: node.qualname)
-    for sweep in range(MAX_PASSES):
+
+    def sweep() -> bool:
         changed = False
         for node in ordered:
             edges: list[tuple[Node, int]] = [
@@ -255,9 +255,9 @@ def solve_effects(model: ContextModel, state: StateModel) -> EffectModel:
                     before = len(mine_names)
                     mine_names |= their_names
                     changed |= len(mine_names) != before
-        effects.passes = sweep + 1
-        if not changed:
-            break
+        return changed
+
+    effects.passes = fixpoint(sweep, MAX_PASSES)
     return effects
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from repro.analysis.concurrency.contexts import (
     ContextModel,
     Node,
-    dotted_chain,
+    FunctionScanner,
 )
 
 #: Decorator terminals that memoize the decorated def on its arguments.
@@ -199,6 +199,7 @@ class _SiteScanner:
         self.model = model
         self.node = node
         self.tracer = _Tracer(node)
+        self.calls = FunctionScanner(model, node)
 
     # -- compute resolution ----------------------------------------------
 
@@ -233,17 +234,8 @@ class _SiteScanner:
             produced = self.tracer.resolve(expr)
             if produced is not expr:
                 return self.resolve_compute(produced)
-            local = self.model.nodes.get(
-                f"{self.node.module.qualname}.{expr.id}"
-            )
-            if local is not None:
-                return (local,)
-            imported = self.node.module.imports.get(expr.id)
-            if imported is not None and imported[0] == "symbol":
-                target = self.model.nodes.get(imported[1])
-                if target is not None:
-                    return (target,)
-            return ()
+            found = self.calls.function_by_name(expr.id)
+            return (found,) if found is not None else ()
         if isinstance(expr, ast.Attribute):
             if isinstance(expr.value, ast.Name) and \
                     expr.value.id == self.node.self_name and \
@@ -252,14 +244,10 @@ class _SiteScanner:
                 if method is not None:
                     found = self.model.nodes.get(method.qualname)
                     return (found,) if found is not None else ()
-            chain = dotted_chain(expr, self.node.module)
-            if chain is not None:
-                found = self.model.nodes.get(chain)
-                if found is not None:
-                    return (found,)
-            return ()
+            found = self.calls.chain_target(expr)
+            return (found,) if found is not None else ()
         if isinstance(expr, ast.Call):
-            chain = dotted_chain(expr.func, self.node.module)
+            chain = self.node.module.qualify(expr.func)
             if chain is not None and \
                     chain.rsplit(".", 1)[-1] == "partial" and expr.args:
                 return self.resolve_compute(expr.args[0])

@@ -23,23 +23,15 @@ shape:
   ``ModuleInfo``) and each call-graph node's own statements are walked
   once (``Node.items``, shared by the context, state, site and effect
   scanners);
-* :func:`run_passes` dispatches the enabled passes, optionally in
-  parallel threads (``lint --all --jobs``), and reports per-pass
-  wall-clock timings for the JSON output.
-
-Thread-safety: shared structures are built eagerly by
-:meth:`SharedAnalysis.prepare` before any pass thread starts, so the
-pass bodies only ever *read* them concurrently. The one exception is
-the dimensional fixpoint, which accumulates inferred facts onto the
-shared ``Project``'s fact slots; no other pass reads those slots, so
-the mutation is private to that pass by construction.
+* :func:`run_passes` runs the enabled passes one after another on the
+  caller's thread and reports per-pass wall-clock timings for the JSON
+  output. The passes are pure Python, so threads would only contend
+  for the GIL.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -88,15 +80,13 @@ class AnalysisPass:
 class SharedAnalysis:
     """Cross-pass structures, each built once per lint invocation.
 
-    Layers are lazy behind one re-entrant lock so a stray out-of-order
-    access stays correct, but :meth:`prepare` builds everything the
-    enabled passes will need *before* parallel dispatch — pass threads
-    then only read.
+    Every layer is built lazily on first use; :meth:`prepare` builds
+    the ones the enabled passes need up front, so the per-pass timings
+    exclude the shared build.
     """
 
     def __init__(self, context: Iterable[ModuleSource]) -> None:
         self.context: list[ModuleSource] = list(context)
-        self._lock = threading.RLock()
         self._index: ProjectIndex | None = None
         self._project = None
         self._conc_model = None
@@ -104,21 +94,17 @@ class SharedAnalysis:
 
     def index(self) -> ProjectIndex:
         """The purity rules' memoization index (base pass)."""
-        with self._lock:
-            if self._index is None:
-                self._index = build_index(self.context)
-            return self._index
+        if self._index is None:
+            self._index = build_index(self.context)
+        return self._index
 
     def project(self):
         """The whole-program symbol tables (shared call graph)."""
-        with self._lock:
-            if self._project is None:
-                from repro.analysis.dimensional.callgraph import (
-                    build_project,
-                )
+        if self._project is None:
+            from repro.analysis.dimensional.callgraph import build_project
 
-                self._project = build_project(self.context)
-            return self._project
+            self._project = build_project(self.context)
+        return self._project
 
     def concurrency_model(self):
         """The solved (ContextModel, StateModel) pair.
@@ -126,16 +112,13 @@ class SharedAnalysis:
         Built on top of :meth:`project`; consumed by both the
         concurrency and the keysound passes.
         """
-        with self._lock:
-            if self._conc_model is None:
-                from repro.analysis.concurrency.contexts import (
-                    build_contexts,
-                )
-                from repro.analysis.concurrency.state import build_state
+        if self._conc_model is None:
+            from repro.analysis.concurrency.contexts import build_contexts
+            from repro.analysis.concurrency.state import build_state
 
-                self._conc_model = build_contexts(self.project())
-                self._conc_state = build_state(self._conc_model)
-            return self._conc_model, self._conc_state
+            self._conc_model = build_contexts(self.project())
+            self._conc_state = build_state(self._conc_model)
+        return self._conc_model, self._conc_state
 
     def prepare(self, passes: Iterable[AnalysisPass]) -> None:
         """Eagerly build every layer the given passes need."""
@@ -265,51 +248,27 @@ def resolve_passes(
     return tuple(enabled)
 
 
-def default_jobs(passes: Iterable[AnalysisPass]) -> int:
-    """Default ``--jobs``: one thread per enabled pass, capped at cpus."""
-    import os
-
-    count = len(list(passes))
-    return max(1, min(count, os.cpu_count() or 1))
-
-
 def run_passes(
     passes: tuple[AnalysisPass, ...],
     targets: list[ModuleSource],
     shared: SharedAnalysis,
     disabled: frozenset[str],
-    jobs: int | None = None,
+    # Ignored. Kept only because the benchmark's lint replay,
+    # perfbench/harness/child_lint.py, passes jobs=1.
+    jobs: int = 1,
 ) -> tuple[dict[str, list[Finding]], tuple[tuple[str, float], ...]]:
-    """Run every enabled pass; findings merged per path + timings.
+    """Run every enabled pass in order on the caller's thread.
 
-    With ``jobs > 1`` the pass bodies run on a thread pool; the shared
-    structures were built by :meth:`SharedAnalysis.prepare` up front, so
-    the threads never contend on construction. Timings are wall-clock
-    seconds per pass, in pass order.
+    Returns the findings merged per path and the wall-clock seconds per
+    pass, in pass order.
     """
     shared.prepare(passes)
-    jobs = default_jobs(passes) if jobs is None else max(1, jobs)
-
-    def timed(one: AnalysisPass) -> tuple[
-        str, float, dict[str, list[Finding]],
-    ]:
-        started = time.perf_counter()
-        findings = one.run(targets, shared, disabled)
-        return one.name, time.perf_counter() - started, findings
-
-    if jobs == 1 or len(passes) == 1:
-        outcomes = [timed(one) for one in passes]
-    else:
-        with ThreadPoolExecutor(
-            max_workers=min(jobs, len(passes)),
-            thread_name_prefix="lint-pass",
-        ) as pool:
-            outcomes = list(pool.map(timed, passes))
-
     merged: dict[str, list[Finding]] = {}
     timings: list[tuple[str, float]] = []
-    for name, elapsed, findings in outcomes:
-        timings.append((name, elapsed))
+    for one in passes:
+        started = time.perf_counter()
+        findings = one.run(targets, shared, disabled)
+        timings.append((one.name, time.perf_counter() - started))
         for path, found in findings.items():
             merged.setdefault(path, [])
             merged[path] += [

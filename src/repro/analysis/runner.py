@@ -4,9 +4,9 @@ The driver parses every target file *plus* the installed ``repro``
 package (each file once: a target inside the package is reused as
 context), builds the cross-pass structures once through
 :class:`~repro.analysis.registry.SharedAnalysis` (purity index, project
-call graph, concurrency model), dispatches the enabled analysis passes
-(optionally in parallel — ``lint --all --jobs``), and filters the merged
-findings through the inline-suppression table.
+call graph, concurrency model), runs the enabled analysis passes one
+after another, and filters the merged findings through the
+inline-suppression table.
 
 Two pseudo-rules can appear in output and are never suppressible:
 ``SYNTAX`` (a target file failed to parse) and ``NOQA`` (a suppression
@@ -239,7 +239,6 @@ def lint_paths(
     dimensional: bool = False,
     concurrency: bool = False,
     keysound: bool = False,
-    jobs: int | None = None,
 ) -> LintResult:
     """Lint files/directories; the main entry point behind the CLI.
 
@@ -248,9 +247,7 @@ def lint_paths(
     ``concurrency=True`` the concurrency-safety pass (CONC rules), and
     ``keysound=True`` the cache-key soundness pass (KEY/DET rules); all
     whole-program passes share one call graph built once per
-    invocation. Enabling everything is ``mcpat-repro lint --all``;
-    ``jobs`` runs the enabled passes on that many threads (default: one
-    per pass, capped at the cpu count).
+    invocation. Enabling everything is ``mcpat-repro lint --all``.
     """
     disabled = validate_disable(disable)
     files = iter_python_files(paths)
@@ -267,7 +264,7 @@ def lint_paths(
     })
     shared = SharedAnalysis(indexed.values())
     passes = resolve_passes(dimensional, concurrency, keysound)
-    extra, timings = run_passes(passes, targets, shared, disabled, jobs)
+    extra, timings = run_passes(passes, targets, shared, disabled)
     return _filter_findings(
         targets, parse_failures, disabled, extra,
         tuple(one.name for one in passes), timings,

@@ -387,7 +387,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             dimensional=dimensional,
             concurrency=concurrency,
             keysound=keysound,
-            jobs=args.jobs,
         )
     except (FileNotFoundError, ValueError) as exc:
         # Usage errors (bad path, unknown rule id) exit 2; findings
@@ -634,12 +633,6 @@ def main(argv: list[str] | None = None) -> int:
         "--all", action="store_true",
         help="run every analysis pass (base + --dimensional + "
              "--concurrency + --keysound) with one merged report",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="run enabled passes on N threads (default: one per pass, "
-             "capped at the cpu count; the call graph is shared and "
-             "built once)",
     )
     lint.set_defaults(func=_cmd_lint)
 

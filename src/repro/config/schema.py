@@ -14,6 +14,14 @@ from enum import Enum
 from repro.tech import DeviceType
 
 
+def _check_finite(config: object, names: tuple[str, ...]) -> None:
+    """Reject NaN and ±inf in the named float fields (None passes)."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CacheGeometry:
     """Geometry of one private cache level.
@@ -192,6 +200,7 @@ class NocConfig:
     link_signaling: LinkSignaling = LinkSignaling.FULL_SWING
 
     def __post_init__(self) -> None:
+        _check_finite(self, ("clock_hz",))
         if self.flit_bits < 8:
             raise ValueError("flit_bits must be >= 8")
         if self.virtual_channels < 1:
@@ -234,6 +243,7 @@ class NiuConfig:
     bandwidth_gbps: float = 10.0
 
     def __post_init__(self) -> None:
+        _check_finite(self, ("bandwidth_gbps",))
         if self.ports < 0:
             raise ValueError("ports must be non-negative")
         if self.bandwidth_gbps <= 0:
@@ -266,6 +276,7 @@ class MemoryControllerConfig:
     has_phy: bool = True
 
     def __post_init__(self) -> None:
+        _check_finite(self, ("peak_transfer_rate_mts",))
         if self.channels < 0:
             raise ValueError("channels must be non-negative")
         if self.data_bus_bits < 8:
@@ -330,12 +341,9 @@ class SystemConfig:
     whitespace_fraction: float = 0.12
 
     def __post_init__(self) -> None:
-        for name in ("clock_hz", "temperature_k", "vdd_v",
-                     "io_area_fraction", "io_peak_power_w",
-                     "whitespace_fraction"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _check_finite(self, ("clock_hz", "temperature_k", "vdd_v",
+                            "io_area_fraction", "io_peak_power_w",
+                            "whitespace_fraction"))
         if self.clock_hz <= 0:
             raise ValueError("clock_hz must be positive")
         if self.n_cores < 1:

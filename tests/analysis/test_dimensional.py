@@ -3,8 +3,6 @@
 import ast
 import json
 import textwrap
-import time
-from pathlib import Path
 
 import pytest
 
@@ -45,12 +43,6 @@ from repro.analysis.dimensional.dim import (
     sqrt,
 )
 from repro.cli import main
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
-#: Full-tree analyzer budget (satellite requirement: < 10 s), asserted so
-#: the fixpoint pass cannot silently become the slowest CI step.
-FULL_TREE_BUDGET_S = 10.0
 
 
 def _result(snippet):
@@ -504,11 +496,11 @@ class TestCliDimensional:
 
 
 class TestMetaDimensionalClean:
-    """The shipped tree satisfies its own dimensional analysis — fast."""
+    """The shipped tree satisfies its own dimensional analysis.
 
-    def test_src_tree_is_dimension_clean_within_budget(self):
-        start = time.perf_counter()
-        result = lint_paths([REPO_ROOT / "src"], dimensional=True)
-        elapsed = time.perf_counter() - start
-        assert result.findings == ()
-        assert elapsed < FULL_TREE_BUDGET_S
+    Reads the shared ``src_lint`` run; its wall-clock budget is asserted
+    once, in ``test_keysound.TestOwnTreeClean``.
+    """
+
+    def test_src_tree_is_dimension_clean_within_budget(self, src_lint):
+        assert src_lint.result.findings == ()

@@ -13,10 +13,8 @@ wall-clock budget.
 
 import ast
 import textwrap
-import time
-from pathlib import Path
 
-from repro.analysis import lint_paths, lint_source
+from repro.analysis import lint_source
 from repro.analysis.concurrency import build_concurrency_model
 from repro.analysis.context import ModuleSource, scan_comments
 from repro.analysis.keysound import (
@@ -26,10 +24,10 @@ from repro.analysis.keysound import (
     parse_key_comments,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
-#: Whole-tree budget for the full four-pass run (satellite: < 15 s).
-ALL_PASSES_BUDGET_S = 15.0
+#: Wall-clock budget for the shared four-pass run over ``src`` (the
+#: ``src_lint`` fixture), asserted so analysis cannot silently become
+#: the slowest CI step.
+FULL_TREE_BUDGET_S = 10.0
 
 
 def _modules(*pairs):
@@ -526,14 +524,8 @@ class TestRunnerIntegration:
 
 
 class TestOwnTreeClean:
-    def test_src_is_clean_under_all_passes_within_budget(self):
-        started = time.perf_counter()
-        result = lint_paths(
-            [REPO_ROOT / "src"],
-            dimensional=True, concurrency=True, keysound=True,
-        )
-        elapsed = time.perf_counter() - started
-        assert list(result.findings) == []
-        assert elapsed < ALL_PASSES_BUDGET_S, (
-            f"full four-pass run took {elapsed:.1f}s over src/"
+    def test_src_is_clean_under_all_passes_within_budget(self, src_lint):
+        assert list(src_lint.result.findings) == []
+        assert src_lint.elapsed_s < FULL_TREE_BUDGET_S, (
+            f"full four-pass run took {src_lint.elapsed_s:.1f}s over src/"
         )

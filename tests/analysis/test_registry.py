@@ -1,4 +1,4 @@
-"""The unified pass registry, parallel dispatch, and SARIF output."""
+"""The unified pass registry, serial dispatch, and SARIF output."""
 
 import json
 import textwrap
@@ -17,11 +17,7 @@ from repro.analysis import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.registry import (
-    default_jobs,
-    resolve_passes,
-    run_passes,
-)
+from repro.analysis.registry import resolve_passes, run_passes
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -64,13 +60,6 @@ class TestRegistry:
         assert [p.name for p in resolve_passes(keysound=True)] == [
             "base", "keysound",
         ]
-
-    def test_default_jobs_is_bounded(self):
-        passes = resolve_passes(
-            dimensional=True, concurrency=True, keysound=True,
-        )
-        jobs = default_jobs(passes)
-        assert 1 <= jobs <= len(passes)
 
 
 class TestSharedAnalysis:
@@ -140,20 +129,6 @@ class TestSharedAnalysis:
 
 
 class TestParallelDispatch:
-    def test_jobs_do_not_change_findings(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text(textwrap.dedent(DET_SNIPPET))
-        serial = lint_paths(
-            [target], dimensional=True, concurrency=True,
-            keysound=True, jobs=1,
-        )
-        threaded = lint_paths(
-            [target], dimensional=True, concurrency=True,
-            keysound=True, jobs=4,
-        )
-        assert serial.findings == threaded.findings
-        assert serial.passes == threaded.passes
-
     def test_timings_cover_every_pass(self, tmp_path):
         target = tmp_path / "mod.py"
         target.write_text("x = 1\n")
@@ -166,19 +141,14 @@ class TestParallelDispatch:
         ]
         assert all(elapsed >= 0.0 for _, elapsed in result.timings)
 
-    def test_parallel_all_is_not_slower_than_slowest_pass(self):
-        # The satellite property: sharing the call graph + threading
-        # makes --all comparable to the previous slowest single pass
-        # (which built the same structures for itself alone).
-        src = REPO_ROOT / "src"
+    def test_parallel_all_is_not_slower_than_slowest_pass(self, src_lint):
+        # Sharing the call graph makes --all comparable to the previous
+        # slowest single pass (which built the same structures for
+        # itself alone). The --all side is the shared ``src_lint`` run.
         started = time.perf_counter()
-        lint_paths([src], concurrency=True, jobs=1)
+        lint_paths([REPO_ROOT / "src"], concurrency=True)
         single = time.perf_counter() - started
-        started = time.perf_counter()
-        lint_paths(
-            [src], dimensional=True, concurrency=True, keysound=True,
-        )
-        full = time.perf_counter() - started
+        full = src_lint.elapsed_s
         # Generous slack: the point is "same ballpark", not a bench.
         assert full < single * 2.0, (
             f"--all took {full:.1f}s vs {single:.1f}s for concurrency"
@@ -297,18 +267,13 @@ class TestCli:
             f["rule"] == "DET001" for f in payload["findings"]
         )
 
-    def test_jobs_flag(self, tmp_path, capsys):
+    def test_lint_rejects_the_jobs_flag(self, tmp_path, capsys):
         target = tmp_path / "mod.py"
         target.write_text("x = 1\n")
-        code = main([
-            "lint", "--all", "--jobs", "2", "--format", "json",
-            str(target),
-        ])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["passes"] == [
-            "base", "dimensional", "concurrency", "keysound",
-        ]
+        with pytest.raises(SystemExit) as exited:
+            main(["lint", "--all", "--jobs", "2", str(target)])
+        assert exited.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 if __name__ == "__main__":

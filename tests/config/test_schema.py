@@ -7,6 +7,7 @@ from repro.config import (
     CacheGeometry,
     CoreConfig,
     MemoryControllerConfig,
+    NiuConfig,
     NocConfig,
     NocTopology,
     SharedCacheConfig,
@@ -125,10 +126,20 @@ class TestSystemConfig:
     @pytest.mark.parametrize("field", [
         "clock_hz", "temperature_k", "vdd_v", "io_area_fraction",
         "io_peak_power_w", "whitespace_fraction",
+        "noc.clock_hz", "niu.bandwidth_gbps",
+        "memory_controller.peak_transfer_rate_mts",
     ])
     @pytest.mark.parametrize("value", [
         float("nan"), float("inf"), float("-inf"),
     ])
     def test_non_finite_float_rejected_by_name(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            self._base(**{field: value})
+        nested = {
+            "noc": NocConfig, "niu": NiuConfig,
+            "memory_controller": MemoryControllerConfig,
+        }
+        owner, _, name = field.rpartition(".")
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            if owner:
+                self._base(**{owner: nested[owner](**{name: value})})
+            else:
+                self._base(**{field: value})

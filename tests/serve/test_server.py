@@ -334,6 +334,19 @@ class TestNonFiniteValues:
         error = strict_json(raw)
         assert "clock_hz must be finite" in error["detail"]
 
+    def test_nested_nan_is_a_400_naming_the_field(self):
+        config = tiny_dict()
+        config["memory_controller"] = dict(
+            config["memory_controller"], peak_transfer_rate_mts=float("nan"),
+        )
+        body = json.dumps({"config": config, "report": False})
+        assert '"peak_transfer_rate_mts": NaN' in body
+        with BackgroundServer(ServeConfig(port=0)) as server:
+            status, raw = post_raw(server, body.encode())
+        assert status == 400
+        error = strict_json(raw)
+        assert "peak_transfer_rate_mts must be finite" in error["detail"]
+
     def test_non_finite_result_is_a_5xx_with_a_json_error(
         self, monkeypatch,
     ):
