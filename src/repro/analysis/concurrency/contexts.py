@@ -326,7 +326,7 @@ def _collect_types(model: ContextModel) -> None:
             self_name = method.self_name
             if self_name is None:
                 continue
-            for stmt in ast.walk(method.node):
+            for stmt in info.source.walk(method.node):
                 if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                     continue
                 targets = stmt.targets if isinstance(stmt, ast.Assign) \

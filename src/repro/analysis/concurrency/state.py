@@ -35,7 +35,7 @@ from repro.analysis.concurrency.contexts import (
     T_THREAD_EXECUTOR,
     ctor_type,
 )
-from repro.analysis.context import CommentTokens
+from repro.analysis.context import CommentTokens, ModuleSource
 from repro.analysis.dimensional.callgraph import fixpoint
 
 #: A shared-state key: ("global", module_qual, name) or
@@ -541,7 +541,7 @@ def bind_guard_comments(model: ContextModel, state: StateModel) -> None:
         for cls in project.classes.values():
             if cls.module_qual != info.qualname:
                 continue
-            class_node = _class_node(info.tree, cls.name)
+            class_node = _class_node(info.source, cls.name)
             if class_node is None:
                 continue
             header_end = class_node.body[0].lineno - 1 \
@@ -550,7 +550,7 @@ def bind_guard_comments(model: ContextModel, state: StateModel) -> None:
                 if line in by_line:
                     lock = by_line[line]
                     claimed.add(line)
-                    for attr in _class_attrs(class_node):
+                    for attr in _class_attrs(info.source, class_node):
                         state.guard_decls.setdefault(
                             ("field", cls.qualname, attr), lock,
                         )
@@ -566,7 +566,7 @@ def bind_guard_comments(model: ContextModel, state: StateModel) -> None:
                 self_name = method.self_name
                 if self_name is None:
                     continue
-                for stmt in ast.walk(method.node):
+                for stmt in info.source.walk(method.node):
                     if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                         continue
                     if stmt.lineno not in by_line:
@@ -594,26 +594,26 @@ def bind_guard_comments(model: ContextModel, state: StateModel) -> None:
     _validate_guard_locks(model, state)
 
 
-def _class_node(tree: ast.Module, name: str) -> ast.ClassDef | None:
-    for item in ast.walk(tree):
+def _class_node(module: ModuleSource, name: str) -> ast.ClassDef | None:
+    for item in module.walk():
         if isinstance(item, ast.ClassDef) and item.name == name:
             return item
     return None
 
 
-def _class_attrs(class_node: ast.ClassDef) -> list[str]:
+def _class_attrs(module: ModuleSource, class_node: ast.ClassDef) -> list[str]:
     attrs: list[str] = []
     for stmt in class_node.body:
         if isinstance(stmt, ast.AnnAssign) and isinstance(
             stmt.target, ast.Name
         ):
             attrs.append(stmt.target.id)
-    for item in ast.walk(class_node):
+    for item in module.walk(class_node):
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = item.args
             formals = [*args.posonlyargs, *args.args]
             self_name = formals[0].arg if formals else None
-            for sub in ast.walk(item):
+            for sub in module.walk(item):
                 if isinstance(sub, (ast.Assign, ast.AnnAssign)):
                     targets = sub.targets if isinstance(sub, ast.Assign) \
                         else [sub.target]
@@ -698,7 +698,7 @@ def _collect_shared_classes(model: ContextModel,
             self_name = method.self_name
             if self_name is None:
                 continue
-            for item in ast.walk(method.node):
+            for item in info.source.walk(method.node):
                 stored = False
                 where = ""
                 if isinstance(item, ast.Call) and isinstance(
@@ -729,10 +729,10 @@ def _collect_shared_classes(model: ContextModel,
     # ``_HISTOGRAMS[name] = _HistogramState()``.
     for node in model.nodes.values():
         module_globals = node.module.global_names
-        body = node.body
-        if not isinstance(body, list):
-            continue
-        for item in ast.walk(ast.Module(body=body, type_ignores=[])):
+        # A def's walk yields the Assign statements of its body in the
+        # same order as a walk of the body alone.
+        scope = project.functions[node.qualname].node
+        for item in node.module.source.walk(scope):
             if not isinstance(item, ast.Assign):
                 continue
             typ = ctor_type(item.value, node.module, project)

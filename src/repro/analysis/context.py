@@ -29,6 +29,9 @@ KEY_FUNCTIONS = frozenset({"stable_hash", "config_key"})
 #: ``(line, text)`` of every comment token in a module, in file order.
 CommentTokens = tuple[tuple[int, str], ...]
 
+#: Nodes :meth:`ModuleSource.walk` accepts besides the module tree.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
 
 def scan_comments(source: str) -> CommentTokens:
     """Every comment of ``source``, found with :mod:`tokenize`.
@@ -60,9 +63,53 @@ class ModuleSource:
         """The module's comment table, tokenized once per instance.
 
         Every ``# repro:`` grammar (``noqa``, ``dim``, ``guarded-by``,
-        ``keyed-by``/``key-exempt``) reads this one table.
+        ``keyed-by``/``key-exempt``) reads this one table. Each grammar
+        requires ``repro:`` in the comment, so a source without that
+        substring is not tokenized and yields ``()``.
         """
+        if "repro:" not in self.source:
+            return ()
         return scan_comments(self.source)
+
+    @cached_property
+    def _walks(self) -> dict[int, tuple[ast.AST, ...] | None]:
+        """``id`` of the tree and of each def/class in it -> its walk.
+
+        The tree keeps every key's node alive, so an ``id`` here can
+        never belong to another object. ``None`` marks a scope not
+        walked yet.
+        """
+        order = tuple(ast.walk(self.tree))
+        walks: dict[int, tuple[ast.AST, ...] | None] = {
+            id(node): None for node in order if isinstance(node, _SCOPES)
+        }
+        walks[id(self.tree)] = order
+        return walks
+
+    def walk(self, node: ast.AST | None = None) -> tuple[ast.AST, ...]:
+        """``tuple(ast.walk(node))``, computed once per node.
+
+        ``node`` defaults to the module tree; otherwise it must be a
+        def, async def or class of this module's tree. Rules and passes
+        iterate this instead of calling :func:`ast.walk` over module and
+        def nodes, so each subtree's traversal order is built once per
+        lint run.
+
+        Raises:
+            ValueError: ``node`` is not the tree or one of its scopes.
+        """
+        if node is None:
+            node = self.tree
+        try:
+            order = self._walks[id(node)]
+        except KeyError:
+            raise ValueError(
+                f"{type(node).__name__} is not a def or class of "
+                f"{self.path}"
+            ) from None
+        if order is None:
+            order = self._walks[id(node)] = tuple(ast.walk(node))
+        return order
 
 
 def _call_name(node: ast.expr) -> str | None:
@@ -109,10 +156,10 @@ class ProjectIndex:
 
     def scan(self, module: ModuleSource) -> None:
         """Fold one module's memoization facts into the index."""
-        for node in ast.walk(module.tree):
+        for node in module.walk():
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for inner in ast.walk(node):
+            for inner in module.walk(node):
                 if not isinstance(inner, ast.Call):
                     continue
                 name = _call_name(inner.func)

@@ -289,8 +289,10 @@ def _collect_function(
     )
 
 
-def _collect_imports(tree: ast.Module, imports: dict[str, tuple[str, str]]) -> None:
-    for node in ast.walk(tree):
+def _collect_imports(
+    source: ModuleSource, imports: dict[str, tuple[str, str]],
+) -> None:
+    for node in source.walk():
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
@@ -370,7 +372,7 @@ def build_project(modules: list[ModuleSource]) -> Project:
             source=source,
             dims=parse_dim_comments(source.comments),
         )
-        _collect_imports(source.tree, info.imports)
+        _collect_imports(source, info.imports)
         project.modules[source.path] = info
         project.by_qual[qualname] = info
         _collect_body(project, info, source.tree.body, None, qualname)

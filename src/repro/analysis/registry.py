@@ -17,7 +17,10 @@ shape:
   tables, and the concurrency :class:`ContextModel`/:class:`StateModel`
   pair (which the keysound pass reuses) — each built **once** per lint
   invocation and handed to every pass that wants it. Below those, each
-  module is tokenized once (:attr:`ModuleSource.comments
+  module and each of its defs and classes is walked once
+  (:meth:`ModuleSource.walk <repro.analysis.context.ModuleSource.walk>`,
+  shared by every rule and pass), each module holding a ``repro:``
+  directive is tokenized once (:attr:`ModuleSource.comments
   <repro.analysis.context.ModuleSource.comments>`, the one comment
   table every ``# repro:`` grammar reads through the project's
   ``ModuleInfo``) and each call-graph node's own statements are walked

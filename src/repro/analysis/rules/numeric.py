@@ -26,7 +26,7 @@ def check_num001(
 ) -> Iterator[Finding]:
     """NUM001: no ``==`` / ``!=`` against float literals."""
     del index
-    for node in ast.walk(module.tree):
+    for node in module.walk():
         if not isinstance(node, ast.Compare):
             continue
         if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
@@ -44,7 +44,7 @@ def check_num001(
 
 
 def _guarded_names(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
+    module: ModuleSource, func: ast.FunctionDef | ast.AsyncFunctionDef,
 ) -> set[str] | None:
     """Parameter names that some statement in ``func`` validates.
 
@@ -58,7 +58,7 @@ def _guarded_names(
       validation-helper idiom (``_check_width(width)``).
     """
     guarded: set[str] = set()
-    for node in ast.walk(func):
+    for node in module.walk(func):
         if isinstance(node, ast.Try):
             return None
         tests: list[ast.expr] = []
@@ -123,7 +123,7 @@ def check_num002(
 ) -> Iterator[Finding]:
     """NUM002: divisions by a bare, unvalidated parameter."""
     del index
-    for func in ast.walk(module.tree):
+    for func in module.walk():
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         params = {
@@ -138,10 +138,10 @@ def check_num002(
         params -= _non_numeric_params(func)
         if not params:
             continue
-        guarded = _guarded_names(func)
+        guarded = _guarded_names(module, func)
         if guarded is None:
             continue
-        for node in ast.walk(func):
+        for node in module.walk(func):
             if not isinstance(node, ast.BinOp):
                 continue
             if not isinstance(node.op, _DIV_OPS):
@@ -163,7 +163,7 @@ def check_num003(
 ) -> Iterator[Finding]:
     """NUM003: mutable default argument values."""
     del index
-    for func in ast.walk(module.tree):
+    for func in module.walk():
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         defaults = list(func.args.defaults) + [

@@ -57,7 +57,7 @@ def _is_mutable_literal(node: ast.expr) -> bool:
 def _memoized_functions(
     module: ModuleSource, index: ProjectIndex
 ) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(module.tree):
+    for node in module.walk():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if node.name in index.memoized_defs:
                 yield node
@@ -126,7 +126,7 @@ def check_cp002(
     """CP002: memoized functions must not write globals or mutate args."""
     for func in _memoized_functions(module, index):
         params = _param_names(func)
-        for node in ast.walk(func):
+        for node in module.walk(func):
             if isinstance(node, (ast.Global, ast.Nonlocal)):
                 kind = "global" if isinstance(node, ast.Global) else (
                     "nonlocal"

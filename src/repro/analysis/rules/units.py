@@ -66,7 +66,7 @@ def check_unit001(
                 f"{canonical!r}",
             )
 
-    for node in ast.walk(module.tree):
+    for node in module.walk():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield from finding(node.name, node)
         elif isinstance(node, ast.arg):
@@ -108,7 +108,7 @@ def check_spec001(
     ``# repro: noqa[SPEC001]``.
     """
     del index
-    for node in ast.walk(module.tree):
+    for node in module.walk():
         if not isinstance(node, ast.ClassDef):
             continue
         for decorator in node.decorator_list:

@@ -93,7 +93,8 @@ class TestSharedAnalysis:
     def test_each_file_is_parsed_and_tokenized_once(self, monkeypatch):
         # A package file linted as a target, with every pass and so all
         # four comment grammars: each file of the run still goes
-        # through ast.parse once and tokenize once.
+        # through ast.parse once, and exactly the files that can hold a
+        # ``# repro:`` directive go through tokenize, once each.
         import ast
         import tokenize
         from collections import Counter
@@ -125,7 +126,47 @@ class TestSharedAnalysis:
         assert parsed_files[str(target)] == 1
         assert set(parsed_files.values()) == {1}
         # Files with identical text (empty __init__.py) share a key.
-        assert tokenized_texts == parsed_texts
+        assert tokenized_texts == Counter({
+            text: count for text, count in parsed_texts.items()
+            if "repro:" in text
+        })
+        assert tokenized_texts
+
+    def test_each_module_tree_is_walked_once(self, monkeypatch):
+        # Every rule and pass iterates ModuleSource.walk, so a run with
+        # all passes hands each parsed module tree to ast.walk once.
+        import ast
+        from collections import Counter
+
+        import repro
+
+        trees: list[ast.Module] = []  # keeps each counted id alive
+        tree_ids: set[int] = set()
+        walked = Counter()
+        real_parse = ast.parse
+        real_walk = ast.walk
+
+        def recording_parse(*args, **kwargs):
+            tree = real_parse(*args, **kwargs)
+            if isinstance(tree, ast.Module):
+                trees.append(tree)
+                tree_ids.add(id(tree))
+            return tree
+
+        def counting_walk(node):
+            if id(node) in tree_ids:
+                walked[id(node)] += 1
+            return real_walk(node)
+
+        monkeypatch.setattr(ast, "parse", recording_parse)
+        monkeypatch.setattr(ast, "walk", counting_walk)
+        target = Path(repro.__file__).parent / "units.py"
+        result = lint_paths(
+            [target], dimensional=True, concurrency=True, keysound=True,
+        )
+        assert result.files_checked == 1
+        assert len(trees) > 1
+        assert walked == Counter(dict.fromkeys(tree_ids, 1))
 
 
 class TestParallelDispatch:
