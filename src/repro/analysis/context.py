@@ -19,7 +19,8 @@ import ast
 import io
 import tokenize
 from dataclasses import dataclass, field
-from functools import cached_property
+
+from repro.fastpath import cached_property
 
 #: Key-derivation callables that mark the enclosing function as part of
 #: the content-hash cache contract.

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -30,6 +29,7 @@ from repro.analysis.dimensional.seeds import (
     parse_dim_comments,
     suffix_dim,
 )
+from repro.fastpath import cached_property
 
 
 @dataclass  # repro: noqa[SPEC001] -- mutable fixpoint fact table

@@ -9,12 +9,12 @@ returns on a matching tree, both on repeated semi-global wires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.array.mat import Subarray
 from repro.array.organization import ArrayOrganization
 from repro.array.spec import ArraySpec
 from repro.circuit.repeater import RepeatedWire
+from repro.fastpath import cached_property
 from repro.tech import Technology
 from repro.tech.wire import WireType
 

@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 from repro.array.array_model import SramArray, build_array
 from repro.array.cam import CamArray
 from repro.array.spec import ArraySpec, CellType, PortCounts
 from repro.circuit.gates import Gate, GateKind
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 #: Physical address width assumed for tag sizing (bits).

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro.array.spec import PortCounts
 from repro.circuit import transistor
 from repro.circuit.gates import Gate, GateKind
 from repro.circuit.logical_effort import BufferChain
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 #: Fraction of match lines that discharge on a typical search (almost all

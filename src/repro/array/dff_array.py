@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.array.spec import ArraySpec
 from repro.circuit.flipflop import FlipFlop
 from repro.circuit.gates import Gate, GateKind
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 #: Wiring/placement overhead of a synthesized register block.

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.array.spec import CellType, PortCounts
 from repro.circuit import transistor
 from repro.circuit.gates import Gate, GateKind
 from repro.circuit.logical_effort import BufferChain
+from repro.fastpath import cached_property
 from repro.tech import Technology
 from repro.tech.technology import EDRAM_RETENTION_TIME_S
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro import obs
 from repro.activity import (
@@ -22,6 +21,7 @@ from repro.chip.results import ComponentResult
 from repro.clocking import ClockNetwork
 from repro.config.schema import SystemConfig
 from repro.core import Core
+from repro.fastpath import cached_property
 from repro.mc import MemoryController
 from repro.memsys import SharedCache
 from repro.noc import NetworkOnChip

@@ -9,10 +9,10 @@ flip-flop primitives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.circuit.flipflop import FlipFlop
 from repro.circuit.gates import Gate, GateKind
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 

@@ -12,9 +12,9 @@ connector drivers; delay is the Elmore delay of the worst-case path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.circuit.gates import Gate, GateKind
+from repro.fastpath import cached_property
 from repro.tech import Technology
 from repro.tech.wire import WireType
 

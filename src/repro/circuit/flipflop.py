@@ -9,10 +9,10 @@ cycle), per-data-transition energy, leakage, and standard-cell area.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.circuit import transistor
 from repro.circuit.gates import SHORT_CIRCUIT_FRACTION, Gate, GateKind
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 #: Transistor count of a transmission-gate master-slave DFF.

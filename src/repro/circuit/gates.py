@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 from repro import fastpath
 from repro.circuit import transistor
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 #: Empirical multiplier on the ideal switched-RC delay accounting for input

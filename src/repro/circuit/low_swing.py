@@ -11,9 +11,9 @@ receiver complexity, which is why NoC designs use them selectively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.circuit.gates import Gate, GateKind
+from repro.fastpath import cached_property
 from repro.tech import Technology
 from repro.tech.wire import WireParameters, WireType
 

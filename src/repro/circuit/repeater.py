@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro import fastpath
 from repro import obs
 from repro.circuit.gates import DELAY_DERATE, Gate, GateKind
+from repro.fastpath import cached_property
 from repro.tech import Technology
 from repro.tech.wire import WireParameters, WireType
 

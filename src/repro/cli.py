@@ -34,11 +34,13 @@ import sys
 import time
 from pathlib import Path
 
-from repro.chip import Processor, format_report, render_report_text
-from repro.config import load_system_config, presets
+# The chip model and config tables load inside the subcommands that use
+# them, so `--help` and `lint` start without building either.
 
 
 def _resolve_config(source: str):
+    from repro.config import load_system_config, presets
+
     if source in presets.VALIDATION_PRESETS:
         return presets.VALIDATION_PRESETS[source]()
     path = Path(source)
@@ -71,6 +73,8 @@ def _write_trace(path: str) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.chip import Processor, format_report, render_report_text
+
     config = _resolve_config(args.config)
     if args.trace:
         from repro import obs
@@ -313,6 +317,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_surrogate_train(args: argparse.Namespace) -> int:
     """Train the fast-tier model and save the JSON artifact."""
     from repro import surrogate
+    from repro.config import presets
 
     sources = args.preset or list(presets.VALIDATION_PRESETS)
     bases = [_resolve_config(source) for source in sources]
@@ -334,6 +339,7 @@ def _cmd_surrogate_train(args: argparse.Namespace) -> int:
 def _cmd_surrogate_check(args: argparse.Namespace) -> int:
     """Audit a model's declared bounds against fresh exact points."""
     from repro import surrogate
+    from repro.config import presets
     from repro.surrogate.model import SurrogateModel
     from repro.surrogate.tier import default_tier
 

@@ -10,11 +10,11 @@ only the distribution overhead — wire + buffer capacitance).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.chip.results import ComponentResult
 from repro.circuit.flipflop import FlipFlop
 from repro.circuit.repeater import RepeatedWire
+from repro.fastpath import cached_property
 from repro.tech import Technology
 from repro.tech.wire import WireType
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.activity import CoreActivity
 from repro.chip.results import ComponentResult
@@ -21,6 +20,7 @@ from repro.core.lsu import LoadStoreUnit
 from repro.core.mmu import MemoryManagementUnit
 from repro.core.renaming import RenamingUnit
 from repro.core.scheduler import DynamicScheduler
+from repro.fastpath import cached_property
 from repro.logic import ControlLogic, PipelineRegisters
 from repro.tech import Technology
 

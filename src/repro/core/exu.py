@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.activity import CoreActivity
 from repro.array import ArraySpec, PortCounts, build_array
@@ -20,6 +19,7 @@ from repro.chip.results import ComponentResult
 from repro.config.schema import CoreConfig
 from repro.core.common import array_result
 from repro.circuit.repeater import RepeatedWire
+from repro.fastpath import cached_property
 from repro.logic import FunctionalUnit, FunctionalUnitKind
 from repro.tech import Technology
 from repro.tech.wire import WireType

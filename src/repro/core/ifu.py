@@ -8,7 +8,6 @@ instruction buffer between fetch and decode, and the instruction decoders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.activity import CoreActivity
 from repro.array import (
@@ -23,6 +22,7 @@ from repro.array.array_model import SramArray
 from repro.chip.results import ComponentResult
 from repro.config.schema import CoreConfig
 from repro.core.common import array_result
+from repro.fastpath import cached_property
 from repro.logic import InstructionDecoder
 from repro.tech import Technology
 

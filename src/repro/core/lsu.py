@@ -8,7 +8,6 @@ with an SRAM payload holding address + data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.activity import CoreActivity
 from repro.array import (
@@ -25,6 +24,7 @@ from repro.array.array_model import SramArray
 from repro.chip.results import ComponentResult
 from repro.config.schema import CoreConfig
 from repro.core.common import array_result, cam_result
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 

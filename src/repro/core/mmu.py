@@ -7,13 +7,13 @@ a virtual-page-number search delivering a physical page number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.activity import CoreActivity
 from repro.array import CamArray
 from repro.chip.results import ComponentResult
 from repro.config.schema import CoreConfig
 from repro.core.common import cam_result
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 #: Page offset bits (4 KB pages).

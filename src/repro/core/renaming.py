@@ -8,7 +8,6 @@ check is the quadratic comparator block from :mod:`repro.logic`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.activity import CoreActivity
 from repro.array import ArraySpec, CellType, PortCounts, build_array
@@ -16,6 +15,7 @@ from repro.array.array_model import SramArray
 from repro.chip.results import ComponentResult
 from repro.config.schema import CoreConfig
 from repro.core.common import array_result
+from repro.fastpath import cached_property
 from repro.logic import DependencyCheck
 from repro.tech import Technology
 

@@ -158,8 +158,6 @@ def evaluate_many(
             or a config holds a value that cannot be content-hashed
             (the message names the offending field path).
     """
-    from repro import batch
-
     configs = list(configs)
     if not configs:
         raise ValueError("need at least one configuration to evaluate")
@@ -188,7 +186,12 @@ def evaluate_many(
             from repro.surrogate.tier import default_tier
 
             tier = default_tier()
-    resolved_backend = batch.resolve_backend(backend)
+    # repro.batch imports numpy: load it only when a caller opts in.
+    resolved_backend = "scalar"
+    if backend is not None and backend != "scalar":
+        from repro import batch
+
+        resolved_backend = batch.resolve_backend(backend)
 
     keys = [config_key(config, workload) for config in configs]
     records: dict[str, EvalRecord] = {}
@@ -223,6 +226,8 @@ def evaluate_many(
         to_compute = remaining
 
     if to_compute and resolved_backend == "numpy" and workload is None:
+        from repro import batch
+
         batched, to_compute = batch.evaluate_batch(to_compute)
         for key, record in batched.items():
             records[key] = record

@@ -1,15 +1,26 @@
 """Worker-pool fan-out for batch evaluation.
 
 Evaluations are pure CPU-bound functions of their config, so they
-parallelize trivially across processes. Payloads are split into
-contiguous chunks (several per worker, to balance uneven evaluation
-costs) and submitted to a fork-context process pool. Any chunk whose
-worker fails — including a hard crash that breaks the pool — is re-run
-serially in the parent, so a flaky worker degrades throughput instead of
-losing results; if the serial recovery fails too, the raised error
-carries the original worker failure text so no traceback is silently
-dropped. Platforms without ``fork`` (and ``jobs=1``) fall back to a
-plain serial loop.
+parallelize trivially across processes. Payloads are split into one
+contiguous, order-preserving chunk per worker and submitted to a
+fork-context process pool.
+
+One chunk per worker is about memo locality, not load balance. Almost
+all of a cold evaluation is filling the process-wide circuit memos
+(:mod:`repro.fastpath`: gate constants, repeater optima, built arrays),
+and points with the same technology node and array specs share those
+entries. Sweep grids (``SweepSpec.iter_points``) put their first axis
+outermost, as do candidate lists built by nested loops, so a contiguous
+range covers whole blocks of such points and its worker fills each
+shared entry once. Many small chunks handed out dynamically would let every
+worker see every block and fill every entry again.
+
+Any chunk whose worker fails — including a hard crash that breaks the
+pool — is re-run serially in the parent, so a flaky worker degrades
+throughput instead of losing results; if the serial recovery fails too,
+the raised error carries the original worker failure text so no
+traceback is silently dropped. Platforms without ``fork`` (and
+``jobs=1``) fall back to a plain serial loop.
 
 When :mod:`repro.obs` is active, each worker accumulates trace spans
 and metric deltas locally (its registry is reset per chunk) and ships
@@ -34,9 +45,6 @@ from repro.perf.workload import Workload
 
 #: One payload: (cache key, config, workload-or-None).
 Payload = tuple[str, SystemConfig, Workload | None]
-
-#: Chunks submitted per worker; >1 balances uneven evaluation costs.
-_CHUNKS_PER_WORKER = 4
 
 
 def default_jobs() -> int:
@@ -92,8 +100,13 @@ def _evaluate_chunk_instrumented(
 
 
 def split_chunks(payloads: list[Payload], jobs: int) -> list[list[Payload]]:
-    """Split payloads into contiguous, near-equal chunks."""
-    n_chunks = min(len(payloads), max(1, jobs) * _CHUNKS_PER_WORKER)
+    """Split payloads into ``min(jobs, len(payloads))`` contiguous chunks.
+
+    Chunks are near-equal in size and concatenate back to ``payloads``
+    in order. One chunk per worker keeps each worker's memo fills local
+    (see the module docstring).
+    """
+    n_chunks = min(len(payloads), max(1, jobs))
     base, extra = divmod(len(payloads), n_chunks)
     chunks: list[list[Payload]] = []
     start = 0

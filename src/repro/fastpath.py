@@ -21,6 +21,9 @@ layers use to remember their answers:
   the ``build_array`` memo), so every cache layer keys on *content*,
   never object identity. Frozen dataclass instances memoize their
   encoding, which makes keying a ``dataclasses.replace`` variant cheap.
+* :class:`cached_property` — the per-instance memo every model component
+  uses for its derived quantities: a lock-free drop-in for
+  :func:`functools.cached_property`.
 
 Memos are per-process. Worker processes forked by ``repro.engine`` each
 warm their own copy, which is exactly what makes repeated points inside
@@ -37,7 +40,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterator, TypeVar, cast
+from typing import Any, Callable, Generic, Iterator, TypeVar, cast, overload
 
 from repro.obs import metrics as _obs_metrics
 
@@ -138,6 +141,76 @@ class Memo:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+class cached_property(Generic[T]):
+    """Per-instance memoized property, without a lock.
+
+    Same semantics as :func:`functools.cached_property` on Python 3.12+:
+    the first access calls the decorated method and stores its value in
+    the instance ``__dict__`` under the property's name, where it shadows
+    this non-data descriptor, so later reads are plain attribute lookups.
+    ``del obj.name`` drops the value and the next access recomputes it.
+    The store goes straight to ``__dict__``, so frozen dataclasses work.
+
+    Unlike ``functools.cached_property`` before 3.12, no lock is taken:
+    the 3.11 stdlib version holds an ``RLock`` on every first access,
+    which was the top self-time entry of a cold model build. Two threads
+    racing on a first access may therefore both compute the value and
+    the last store wins. That is safe only because memoized computes
+    must be pure (the CP002 contract, which ``lint --keysound`` checks
+    on every ``cached_property`` site as DET001/DET002): both
+    computations yield equal values and neither has side effects.
+
+    The name matters: the analysis passes recognise memo sites by the
+    ``cached_property`` decorator name. Once the package requires
+    Python 3.12, the stdlib descriptor can take this one's place.
+    """
+
+    def __init__(self, func: Callable[[Any], T]) -> None:
+        self.func = func
+        self.attrname: str | None = None
+        self.__doc__ = func.__doc__
+        self.__module__ = func.__module__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        if self.attrname is None:
+            self.attrname = name
+        elif name != self.attrname:
+            raise TypeError(
+                "Cannot assign the same cached_property to two different "
+                f"names ({self.attrname!r} and {name!r})."
+            )
+
+    @overload
+    def __get__(
+        self, instance: None, owner: type | None = None,
+    ) -> "cached_property[T]": ...
+
+    @overload
+    def __get__(self, instance: object, owner: type | None = None) -> T: ...
+
+    def __get__(
+        self, instance: object | None, owner: type | None = None,
+    ) -> "T | cached_property[T]":
+        if instance is None:
+            return self
+        name = self.attrname
+        if name is None:
+            raise TypeError(
+                "Cannot use cached_property instance without calling "
+                "__set_name__ on it."
+            )
+        try:
+            cache = instance.__dict__
+        except AttributeError:
+            raise TypeError(
+                f"No '__dict__' attribute on {type(instance).__name__!r} "
+                f"instance to cache {name!r} property."
+            ) from None
+        value = self.func(instance)
+        cache[name] = value
+        return value
 
 
 def _reinit_after_fork() -> None:

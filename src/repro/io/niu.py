@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.chip.results import ComponentResult
 from repro.circuit.gates import Gate, GateKind
 from repro.config.schema import NiuConfig
+from repro.fastpath import cached_property
 from repro.io.serdes import SerdesLane
 from repro.logic.control_logic import LOGIC_PLACEMENT_FACTOR
 from repro.tech import Technology

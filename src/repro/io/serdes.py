@@ -8,8 +8,8 @@ are 90 nm server-class lanes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 #: SerDes energy per transferred bit at 90 nm (J/bit).

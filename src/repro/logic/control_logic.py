@@ -12,10 +12,10 @@ the target node's gate model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.circuit.gates import Gate, GateKind
 from repro.config.schema import CoreConfig
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 #: Placed logic achieves roughly 50% cell utilization; the footprint is

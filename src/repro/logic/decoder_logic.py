@@ -10,9 +10,9 @@ front-end random logic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.circuit.gates import Gate, GateKind
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 #: Gate-equivalents of one RISC decode lane.

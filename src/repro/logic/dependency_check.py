@@ -10,9 +10,9 @@ issue width is one of McPAT's signature OOO-cost effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.circuit.gates import Gate, GateKind
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 #: Gate-equivalents of a b-bit equality comparator per bit (XNOR + AND tree).

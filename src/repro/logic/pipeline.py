@@ -9,9 +9,9 @@ so McPAT accounts for it explicitly per core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.circuit.flipflop import FlipFlop
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 

@@ -10,7 +10,6 @@ poorly with technology, as analog circuits do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.activity import MemoryControllerActivity
 from repro.array import ArraySpec, CellType, build_array
@@ -18,6 +17,7 @@ from repro.array.array_model import SramArray
 from repro.chip.results import ComponentResult
 from repro.circuit.gates import Gate, GateKind
 from repro.config.schema import MemoryControllerConfig
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 #: Gate census of the scheduling frontend per channel.

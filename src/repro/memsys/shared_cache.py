@@ -8,7 +8,6 @@ arrangement), plus MSHRs and a small cache-controller gate census.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.activity import CacheActivity
 from repro.array import (
@@ -23,6 +22,7 @@ from repro.array.array_model import SramArray
 from repro.chip.results import ComponentResult
 from repro.circuit.gates import Gate, GateKind
 from repro.config.schema import SharedCacheConfig
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 #: Gate census of the cache/coherence controller state machines per bank.

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.circuit.low_swing import LowSwingLink
 from repro.circuit.repeater import RepeatedWire
 from repro.config.schema import LinkSignaling
+from repro.fastpath import cached_property
 from repro.tech import Technology
 from repro.tech.wire import WireType
 

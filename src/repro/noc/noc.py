@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.activity import NocActivity
 from repro.chip.results import ComponentResult
 from repro.circuit import Arbiter, Crossbar
 from repro.circuit.repeater import RepeatedWire
 from repro.config.schema import NocConfig, NocTopology
+from repro.fastpath import cached_property
 from repro.noc.link import Link
 from repro.noc.router import Router
 from repro.tech import Technology

@@ -9,12 +9,12 @@ the two arbitrations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.array import ArraySpec, CellType, build_array
 from repro.array.array_model import SramArray
 from repro.circuit import Arbiter, Crossbar
 from repro.config.schema import NocConfig
+from repro.fastpath import cached_property
 from repro.tech import Technology
 
 

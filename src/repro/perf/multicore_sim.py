@@ -20,7 +20,6 @@ labor as McPAT paired with an external simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.activity import (
     CacheActivity,
@@ -30,6 +29,7 @@ from repro.activity import (
     SystemActivity,
 )
 from repro.chip.processor import Processor
+from repro.fastpath import cached_property
 from repro.perf.cpi_model import CpiBreakdown, estimate_cpi
 from repro.perf.workload import Workload
 

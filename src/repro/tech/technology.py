@@ -10,8 +10,8 @@ delay) that higher levels use constantly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
+from repro.fastpath import cached_property
 from repro.tech.device import (
     DeviceParameters,
     DeviceType,

@@ -1,6 +1,13 @@
 """Tests for the public batch API: ordering, parity, caching, dedup."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.engine import EvalCache, evaluate_many
 from repro.optimizer import DesignObjective
@@ -70,6 +77,26 @@ class TestCacheIntegration:
         evaluate_many(trio[1:], cache=cache)
         assert cache.misses == 3  # the overlap point was free
         assert cache.hits == 1
+
+
+class TestScalarPathImports:
+    def test_scalar_evaluation_leaves_numpy_unloaded(self):
+        """``repro.batch`` (and numpy) load only when a caller opts in
+        to a vectorized backend; a fresh interpreter shows it."""
+        code = (
+            "import sys\n"
+            "from repro import presets\n"
+            "from repro.engine import evaluate_many\n"
+            "evaluate_many([presets.niagara1()], cache=None)\n"
+            "print(sorted({'numpy', 'repro.batch'} & set(sys.modules)))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestObjectiveValidation:

@@ -5,7 +5,7 @@ import signal
 
 import pytest
 
-from repro import obs
+from repro import fastpath, obs
 from repro.engine import config_key
 from repro.engine import pool
 from repro.engine.pool import (
@@ -59,6 +59,13 @@ class TestSplitChunks:
 
     def test_never_more_chunks_than_payloads(self):
         assert len(split_chunks([1, 2], jobs=8)) == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_one_chunk_per_worker(self, jobs, n):
+        chunks = split_chunks(list(range(n)), jobs=jobs)
+        assert len(chunks) == min(jobs, n)
+        assert [x for chunk in chunks for x in chunk] == list(range(n))
 
 
 class TestFallbacks:
@@ -167,3 +174,37 @@ class TestInstrumentedPool:
             obs.disable()
             obs.reset()
         assert traced == baseline
+
+
+class TestMemoLocality:
+    """One contiguous chunk per worker fills each memo entry once."""
+
+    @staticmethod
+    def _build_array_misses(payloads, jobs):
+        """Worker-summed ``build_array`` misses of one run, cold memos."""
+        fastpath.clear_all()
+        obs.disable()
+        obs.reset()
+        obs.enable()
+        try:
+            records = evaluate_payloads(payloads, jobs=jobs)
+            misses = obs.snapshot().counter("memo.build_array.misses")
+        finally:
+            obs.disable()
+            obs.reset()
+        return records, misses
+
+    def test_two_node_families_miss_like_a_serial_run(self):
+        if not pool.fork_available():
+            pytest.skip("needs fork")
+        # Node outermost, as SweepSpec.iter_points orders a grid: each
+        # worker's contiguous chunk holds exactly one node family.
+        payloads = [
+            _payload(node_nm=node, n_cores=cores)
+            for node in (90, 45) for cores in (1, 2, 4)
+        ]
+        serial, serial_misses = self._build_array_misses(payloads, jobs=1)
+        pooled, pooled_misses = self._build_array_misses(payloads, jobs=2)
+        assert serial_misses > 0
+        assert pooled_misses == serial_misses
+        assert pooled == serial

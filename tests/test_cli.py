@@ -1,14 +1,39 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.config import presets, save_system_config
 from repro.config.loader import system_config_to_dict
 
 from tests.conftest import make_tiny_config
+
+
+class TestStartup:
+    def test_importing_the_cli_leaves_the_chip_model_unloaded(self):
+        """``--help`` and ``lint`` must not pay for the model build
+        imports; a fresh interpreter shows what ``import repro.cli``
+        loads."""
+        code = (
+            "import sys\n"
+            "import repro.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('repro.chip', 'repro.config'))))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestReport:

@@ -1,15 +1,18 @@
 """Unit tests for the fast-path memo substrate."""
 
+import ast
 import dataclasses
 import enum
 import hashlib
 import json
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro import fastpath
+from repro.analysis.runner import iter_python_files
 from repro.config.schema import NocTopology
 
 
@@ -279,3 +282,127 @@ class TestStableHash:
         config = make_tiny_config()
         assert config_key(config) == config_key(
             dataclasses.replace(config))
+
+
+class _Counted:
+    def __init__(self):
+        self.calls = 0
+
+    @fastpath.cached_property
+    def value(self):
+        """The answer."""
+        self.calls += 1
+        return 42
+
+
+@dataclasses.dataclass(frozen=True)
+class _FrozenSquare:
+    side: int
+
+    @fastpath.cached_property
+    def area(self):
+        return self.side * self.side
+
+
+class TestCachedProperty:
+    def test_computes_once_and_stores_in_instance_dict(self):
+        obj = _Counted()
+        assert obj.value == 42
+        assert obj.value == 42
+        assert obj.calls == 1
+        assert obj.__dict__["value"] == 42
+
+    def test_class_access_returns_the_descriptor(self):
+        descriptor = _Counted.value
+        assert isinstance(descriptor, fastpath.cached_property)
+        assert descriptor.attrname == "value"
+        assert descriptor.__doc__ == "The answer."
+
+    def test_works_on_frozen_dataclasses(self):
+        square = _FrozenSquare(3)
+        assert square.area == 9
+        assert square.__dict__["area"] == 9
+        assert square == _FrozenSquare(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            square.side = 4
+
+    def test_del_makes_next_access_recompute(self):
+        obj = _Counted()
+        assert obj.value == 42
+        del obj.value
+        assert "value" not in obj.__dict__
+        assert obj.value == 42
+        assert obj.calls == 2
+
+    def test_racing_first_accesses_agree(self):
+        """No lock: racing threads may each compute, but a pure compute
+        hands every reader an equal value and one of them is kept."""
+
+        class Table:
+            @fastpath.cached_property
+            def rows(self):
+                return tuple(i * i for i in range(2000))
+
+        n_threads = 8
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                table = Table()
+                barrier = threading.Barrier(n_threads)
+                seen = []
+
+                def read():
+                    barrier.wait(timeout=10)
+                    seen.append(table.rows)
+
+                threads = [
+                    threading.Thread(target=read) for _ in range(n_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == n_threads
+                assert all(rows == table.rows for rows in seen)
+                assert any(rows is table.rows for rows in seen)
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_instance_without_dict_is_a_type_error(self):
+        class Slotted:
+            __slots__ = ()
+
+            @fastpath.cached_property
+            def value(self):
+                return 1
+
+        with pytest.raises(TypeError, match="__dict__"):
+            Slotted().value
+
+    def test_one_descriptor_under_two_names_is_rejected(self):
+        shared = fastpath.cached_property(lambda self: 1)
+        with pytest.raises((TypeError, RuntimeError)):
+            type("Twice", (), {"a": shared, "b": shared})
+
+
+class TestNoStdlibCachedProperty:
+    def test_src_imports_cached_property_from_fastpath_only(self):
+        """``functools.cached_property`` locks on every first access
+        (Python 3.11); model code uses the lock-free fastpath one."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        offenders = []
+        for path in iter_python_files([src]):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) \
+                        and node.module == "functools" \
+                        and any(a.name == "cached_property"
+                                for a in node.names):
+                    offenders.append(f"{path}:{node.lineno}")
+                elif isinstance(node, ast.Attribute) \
+                        and node.attr == "cached_property" \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id == "functools":
+                    offenders.append(f"{path}:{node.lineno}")
+        assert offenders == []
