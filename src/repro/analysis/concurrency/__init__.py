@@ -1,9 +1,10 @@
 """Whole-program concurrency-safety analysis (``CONC001``–``CONC004``).
 
-Public entry point: :func:`analyze_concurrency` builds the project call
-graph from the lint context (the same :func:`~repro.analysis.dimensional
-.callgraph.build_project` pre-pass the dimensional rules use), solves
-each function's *execution contexts* (main, event-loop, executor-thread,
+Public entry point: :func:`analyze_concurrency` builds the project model
+from the lint context (the same :func:`~repro.analysis.callgraph
+.build_project` records, one per def, that the dimensional and keysound
+passes read), resolves call and spawn edges on it, solves each
+function's *execution contexts* (main, event-loop, executor-thread,
 fork-worker) to a fixpoint, collects the shared mutable state and lock
 structure, and reports:
 
@@ -37,8 +38,8 @@ from repro.analysis.concurrency.state import (
     build_state,
     parse_guard_comments,
 )
+from repro.analysis.callgraph import build_project
 from repro.analysis.context import ModuleSource
-from repro.analysis.dimensional.callgraph import build_project
 from repro.analysis.finding import Finding
 
 __all__ = [

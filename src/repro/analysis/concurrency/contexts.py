@@ -15,13 +15,16 @@ Every function in the project runs in one or more *execution contexts*:
   race with the parent, but it *inherits* the parent's locks and file
   handles, which is what ``CONC003`` checks).
 
-Contexts propagate along the project call graph (built by the
-dimensional pass's :func:`~repro.analysis.dimensional.callgraph
-.build_project`) to a fixpoint, including through *escaping callable
-parameters*: when ``_admitted(work)`` hands ``work`` to
-``run_in_executor``, every callable an outside caller binds to ``work``
-is marked ``executor-thread`` — that is how the serve tier's evaluation
-lambdas are tracked onto the executor.
+Contexts propagate along the project call graph to a fixpoint. The
+graph's nodes are the shared :class:`~repro.analysis.callgraph.Node`
+records that :func:`~repro.analysis.callgraph.build_project` makes,
+one per def, plus one per inline lambda made here; its edges come from
+:meth:`FunctionScanner.resolve_callable`, the one resolver for
+callable expressions, which the keysound pass reuses. Propagation also
+runs through *escaping callable parameters*: when ``_admitted(work)``
+hands ``work`` to ``run_in_executor``, every callable an outside caller
+binds to ``work`` is marked ``executor-thread`` — that is how the serve
+tier's evaluation lambdas are tracked onto the executor.
 
 Each context a node acquires carries a human-readable *why* chain
 (``"submitted to a thread executor at app.py:357 by _admitted"``) that
@@ -34,10 +37,15 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.dimensional.callgraph import (
+from repro.analysis.callgraph import (
+    CallableArg,
+    CallEdge,
     ClassInfo,
     ModuleInfo,
+    Node,
+    ParamSlot,
     Project,
+    SpawnEdge,
     fixpoint,
 )
 
@@ -99,81 +107,10 @@ _ASYNC_MODULES = frozenset({"asyncio"})
 
 
 @dataclass  # repro: noqa[SPEC001] -- mutable fixpoint fact table
-class Node:
-    """One unit of executable code: a def, an async def, or a lambda."""
-
-    qualname: str
-    module: ModuleInfo
-    body: list[ast.stmt] | ast.expr
-    is_async: bool
-    owner: ClassInfo | None = None
-    self_name: str | None = None
-    params: tuple[str, ...] = ()
-    enclosing: "Node | None" = None  # set for lambdas only
-    # -- structural facts filled by collection --------------------------
-    calls: list["CallEdge"] = field(default_factory=list)
-    spawns: list["SpawnEdge"] = field(default_factory=list)
-    callable_args: list["CallableArg"] = field(default_factory=list)
-    inline_lambdas: list["Node"] = field(default_factory=list)
-    in_degree: int = 0
-    is_spawn_target: bool = False
-    #: every AST item this node owns (nested def/class bodies excluded),
-    #: in :func:`iter_own_statements` order; walked once, here, and read
-    #: by every pass. A lambda's items start with a synthetic ``Expr``.
-    items: list[ast.AST] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        body = self.body
-        statements = body if isinstance(body, list) else [ast.Expr(body)]
-        self.items = list(iter_own_statements(statements))
-
-    @property
-    def name(self) -> str:
-        return self.qualname.rsplit(".", 1)[-1]
-
-    @property
-    def short(self) -> str:
-        """Class-qualified display name (``Memo.get_or_compute``)."""
-        if self.owner is not None:
-            return f"{self.owner.name}.{self.name}"
-        return self.name
-
-
-@dataclass(frozen=True)
-class CallEdge:
-    """A plain (same-context) call from one node to another."""
-
-    callee: Node
-    line: int
-
-
-@dataclass(frozen=True)
-class SpawnEdge:
-    """A call that moves its target into another execution context."""
-
-    target: Node
-    context: str
-    line: int
-    how: str  # e.g. "submitted to a thread executor"
-
-
-@dataclass(frozen=True)
-class CallableArg:
-    """A callable bound to a callee parameter (higher-order tracking)."""
-
-    callee: Node
-    param: str
-    candidates: tuple[Node, ...]
-    caller_param: str | None  # set when the arg is a param of the caller
-    line: int
-
-
-@dataclass  # repro: noqa[SPEC001] -- mutable fixpoint fact table
 class ContextModel:
     """Everything the CONC rules consume about who runs where."""
 
     project: Project
-    nodes: dict[str, Node] = field(default_factory=dict)
     lambda_nodes: list[Node] = field(default_factory=list)
     ctx: dict[str, set[str]] = field(default_factory=dict)
     why: dict[tuple[str, str], str] = field(default_factory=dict)
@@ -194,6 +131,11 @@ class ContextModel:
     #: parameter back to the real decorated functions.
     decorator_bindings: dict[str, list[Node]] = field(default_factory=dict)
     passes: int = 0
+
+    def all_nodes(self) -> list[Node]:
+        """Every def node in ``project.functions`` order, then every
+        lambda node in creation order."""
+        return [*self.project.functions.values(), *self.lambda_nodes]
 
     def contexts(self, node: Node) -> frozenset[str]:
         return frozenset(self.ctx.get(node.qualname, ()))
@@ -319,14 +261,12 @@ def _collect_types(model: ContextModel) -> None:
                     if classes and key not in model.global_types:
                         model.global_types[key] = classes[0]
     for cls in project.classes.values():
-        info = project.by_qual.get(cls.module_qual)
-        if info is None:
-            continue
+        info = cls.module
         for method in cls.methods.values():
             self_name = method.self_name
             if self_name is None:
                 continue
-            for stmt in info.source.walk(method.node):
+            for stmt in info.source.walk(method.tree):
                 if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                     continue
                 targets = stmt.targets if isinstance(stmt, ast.Assign) \
@@ -345,61 +285,19 @@ def _collect_types(model: ContextModel) -> None:
     # Annotated constructor params often document field types
     # (``cache: EvalCache | None``); fold __init__ annotations in.
     for cls in project.classes.values():
-        info = project.by_qual.get(cls.module_qual)
         init = cls.methods.get("__init__")
-        if info is None or init is None:
+        if init is None:
             continue
-        args = init.node.args
+        args = init.tree.args
         for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
             if arg.annotation is None:
                 continue
-            classes = _annotation_classes(arg.annotation, info,
-                                          model.project)
+            classes = _annotation_classes(arg.annotation, cls.module,
+                                          project)
             if classes:
                 model.field_types.setdefault(
                     (cls.qualname, arg.arg), classes[0],
                 )
-
-
-def _make_nodes(model: ContextModel) -> None:
-    """Wrap every collected function (and lambda) in a :class:`Node`."""
-    project = model.project
-    for fn in project.functions.values():
-        info = project.by_qual.get(fn.module_qual)
-        if info is None:
-            continue
-        owner = project.classes.get(fn.class_qual) if fn.class_qual else None
-        formals = fn.node.args
-        params = tuple(
-            a.arg for a in [*formals.posonlyargs, *formals.args,
-                            *formals.kwonlyargs]
-        )
-        model.nodes[fn.qualname] = Node(
-            qualname=fn.qualname,
-            module=info,
-            body=fn.node.body,
-            is_async=isinstance(fn.node, ast.AsyncFunctionDef),
-            owner=owner,
-            self_name=fn.self_name,
-            params=params,
-        )
-
-
-def iter_own_statements(body: list[ast.stmt]):
-    """Walk statements/expressions of a body, skipping nested defs.
-
-    Yields every AST node that belongs to *this* function — nested
-    ``def``/``async def``/``class`` bodies are separate nodes and
-    lambdas are handled by the caller through :func:`own_lambdas`.
-    """
-    stack: list[ast.AST] = list(body)
-    while stack:
-        item = stack.pop()
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        yield item
-        stack.extend(ast.iter_child_nodes(item))
 
 
 class FunctionScanner:
@@ -410,30 +308,19 @@ class FunctionScanner:
         self.node = node
         self.env = _TypeEnv(model, node)
         self.aliases: dict[str, list[Node]] = {}
-        self.lambda_counter = 0
 
     # -- resolution ------------------------------------------------------
 
-    def function_by_name(self, name: str) -> Node | None:
+    def _function_by_name(self, name: str) -> Node | None:
         """The node a bare name calls: a def, or an imported class's
-        ``__init__``."""
-        binding = self.node.module.bind(name)
-        if binding is None or binding.module:
-            return None
-        target = self.model.nodes.get(binding.target)
-        if target is not None or binding.local:
-            return target
-        cls = self.model.project.classes.get(binding.target)
-        if cls is not None:
-            init = cls.methods.get("__init__")
-            if init is not None:
-                return self.model.nodes.get(init.qualname)
-        return None
-
-    def chain_target(self, expr: ast.expr) -> Node | None:
-        """The node a dotted chain names verbatim (``pkg.mod.fn``)."""
-        chain = self.node.module.qualify(expr)
-        return self.model.nodes.get(chain) if chain is not None else None
+        ``__init__`` (a class of this module is not followed)."""
+        module = self.node.module
+        found = self.model.project.resolve_name(module, name, self.node)
+        if isinstance(found, ClassInfo):
+            if found.module is module:
+                return None
+            return found.methods.get("__init__")
+        return found
 
     def _methods_named(self, attr: str,
                        receiver_type: str | None) -> list[Node]:
@@ -442,21 +329,13 @@ class FunctionScanner:
             cls = project.classes.get(receiver_type)
             if cls is not None:
                 method = cls.methods.get(attr)
-                if method is not None:
-                    found = self.model.nodes.get(method.qualname)
-                    return [found] if found is not None else []
-                return []
+                return [method] if method is not None else []
         if attr in _BUILTIN_COLLISIONS:
             return []
         candidates = project.attr_funcs.get(attr, [])
         if not candidates or len(candidates) > _MAX_DUCK_CANDIDATES:
             return []
-        out = []
-        for fn in candidates:
-            found = self.model.nodes.get(fn.qualname)
-            if found is not None:
-                out.append(found)
-        return out
+        return list(candidates)
 
     def _expr_type(self, expr: ast.expr) -> str | None:
         if isinstance(expr, ast.Name):
@@ -476,11 +355,19 @@ class FunctionScanner:
             return ctor_type(expr, self.node.module, self.model.project)
         return None
 
-    def _resolve_callable(
+    def resolve_callable(
         self, expr: ast.expr,
     ) -> tuple[list[Node], str | None]:
         """Nodes an expression may refer to, plus the caller param name
-        when the expression *is* one of this node's parameters."""
+        when the expression *is* one of this node's parameters.
+
+        The one resolver for callable expressions, used by this pass
+        and the keysound pass: a lambda, a local alias, a bare name (a
+        def, nested ones included, or an imported class's
+        ``__init__``), a dotted chain, a method by receiver type or by
+        unique-enough name, both arms of ``a if c else b``, and
+        ``functools.partial(fn, ...)``.
+        """
         if isinstance(expr, ast.Lambda):
             return [self._lambda_node(expr)], None
         if isinstance(expr, ast.Name):
@@ -488,7 +375,7 @@ class FunctionScanner:
                 return list(self.aliases[expr.id]), None
             if expr.id in self.node.params:
                 return [], expr.id
-            fn = self.function_by_name(expr.id)
+            fn = self._function_by_name(expr.id)
             return ([fn] if fn is not None else []), None
         if isinstance(expr, ast.Attribute):
             receiver_type = None
@@ -501,36 +388,36 @@ class FunctionScanner:
             else:
                 receiver_type = self._expr_type(expr.value)
             if receiver_type is None:
-                direct = self.chain_target(expr)
+                chain = self.node.module.qualify(expr)
+                direct = self.model.project.functions.get(chain) \
+                    if chain is not None else None
                 if direct is not None:
                     return [direct], None
             return self._methods_named(expr.attr, receiver_type), None
         if isinstance(expr, ast.IfExp):
-            left, _ = self._resolve_callable(expr.body)
-            right, _ = self._resolve_callable(expr.orelse)
+            left, _ = self.resolve_callable(expr.body)
+            right, _ = self.resolve_callable(expr.orelse)
             return left + right, None
         if isinstance(expr, ast.Call) and expr.args:
             # ``functools.partial(fn, ...)`` call sites: the partial
             # object runs ``fn``, so resolve through to it.
             chain = self.node.module.qualify(expr.func)
             if chain is not None and chain.rsplit(".", 1)[-1] == "partial":
-                return self._resolve_callable(expr.args[0])
+                return self.resolve_callable(expr.args[0])
         return [], None
 
     def _lambda_node(self, expr: ast.Lambda) -> Node:
         for known in self.node.inline_lambdas:
-            if known.body is expr.body:
+            if known.tree is expr:
                 return known
-        self.lambda_counter += 1
         made = Node(
-            qualname=(f"{self.node.qualname}"
-                      f".<lambda:{expr.lineno}:{self.lambda_counter}>"),
+            qualname=(f"{self.node.qualname}.<lambda:{expr.lineno}:"
+                      f"{len(self.node.inline_lambdas) + 1}>"),
             module=self.node.module,
-            body=expr.body,
-            is_async=False,
+            tree=expr,
+            slots=[ParamSlot(a.arg, None) for a in expr.args.args],
             owner=self.node.owner,
             self_name=self.node.self_name,
-            params=tuple(a.arg for a in expr.args.args),
             enclosing=self.node,
         )
         self.node.inline_lambdas.append(made)
@@ -559,7 +446,7 @@ class FunctionScanner:
             if isinstance(item, ast.Assign) and len(item.targets) == 1 \
                     and isinstance(item.targets[0], ast.Name):
                 name = item.targets[0].id
-                candidates, _ = self._resolve_callable(item.value)
+                candidates, _ = self.resolve_callable(item.value)
                 if candidates:
                     self.aliases[name] = candidates
                 typ = self._expr_type(item.value)
@@ -646,7 +533,7 @@ class FunctionScanner:
             spawned_args: set[int] = set()
             for target_expr, context, how in self._spawn_of(item):
                 spawned_args.add(id(target_expr))
-                candidates, caller_param = self._resolve_callable(
+                candidates, caller_param = self.resolve_callable(
                     target_expr
                 )
                 for target in candidates:
@@ -663,7 +550,7 @@ class FunctionScanner:
                     self.model.escapes.setdefault(
                         (self.node.qualname, caller_param), set(),
                     ).add(context)
-            callees, _ = self._resolve_callable(item.func)
+            callees, _ = self.resolve_callable(item.func)
             for callee in callees:
                 callee.in_degree += 1
                 self.node.calls.append(CallEdge(
@@ -671,7 +558,7 @@ class FunctionScanner:
                 ))
             # Callable arguments bound to callee params (higher order).
             for callee in callees:
-                params = self._bindable_params(callee)
+                params = [slot.name for slot in callee.bindable]
                 for i, arg in enumerate(item.args):
                     if id(arg) in spawned_args or i >= len(params):
                         continue
@@ -684,28 +571,17 @@ class FunctionScanner:
                             callee, kw.arg, kw.value, item,
                         )
 
-    @staticmethod
-    def _bindable_params(callee: Node) -> tuple[str, ...]:
-        params = callee.params
-        if callee.self_name is not None and params:
-            return params[1:]
-        return params
-
     def _note_callable_arg(self, callee: Node, param: str,
                            arg: ast.expr, call: ast.Call) -> None:
         if not isinstance(arg, (ast.Lambda, ast.Name, ast.Attribute,
                                 ast.Call)):
             return
-        candidates, caller_param = self._resolve_callable(arg)
-        funcish = [
-            c for c in candidates
-            if c.enclosing is not None or c.qualname in self.model.nodes
-        ]
-        if not funcish and caller_param is None:
+        candidates, caller_param = self.resolve_callable(arg)
+        if not candidates and caller_param is None:
             return
         self.node.callable_args.append(CallableArg(
             callee=callee, param=param,
-            candidates=tuple(funcish),
+            candidates=tuple(candidates),
             caller_param=caller_param, line=call.lineno,
         ))
 
@@ -723,12 +599,9 @@ def _bind_decorators(model: ContextModel) -> None:
     wired with real call edges from each wrapper-scope call of the
     parameter, so context and effect propagation reach it.
     """
-    project = model.project
-    for fn in project.functions.values():
-        node = model.nodes.get(fn.qualname)
-        if node is None:
-            continue
-        for dec in fn.node.decorator_list:
+    functions = model.project.functions
+    for node in functions.values():
+        for dec in node.tree.decorator_list:
             target = dec.func if isinstance(dec, ast.Call) else dec
             dec_qual: str | None = None
             if isinstance(target, ast.Name):
@@ -738,7 +611,7 @@ def _bind_decorators(model: ContextModel) -> None:
                 dec_qual = node.module.qualify(target)
             if dec_qual is None:
                 continue
-            dec_node = model.nodes.get(dec_qual)
+            dec_node = functions.get(dec_qual)
             if dec_node is None or not dec_node.params:
                 continue
             model.decorator_bindings.setdefault(
@@ -747,15 +620,13 @@ def _bind_decorators(model: ContextModel) -> None:
             dec_node.callable_args.append(CallableArg(
                 callee=dec_node, param=dec_node.params[0],
                 candidates=(node,), caller_param=None,
-                line=fn.node.lineno,
+                line=node.tree.lineno,
             ))
     # Wrapper-scope calls of the bound parameter become real edges to
     # every decorated function.
-    all_nodes = list(model.nodes.values()) + list(model.lambda_nodes)
+    all_nodes = model.all_nodes()
     for dec_qual, bound in model.decorator_bindings.items():
-        dec_node = model.nodes.get(dec_qual)
-        if dec_node is None:
-            continue
+        dec_node = functions[dec_qual]
         param = dec_node.params[0]
         prefix = dec_qual + "."
         scoped = [dec_node] + [
@@ -781,54 +652,54 @@ def _scan_module_atfork(model: ContextModel) -> None:
     calls inside function bodies, so collect these from module bodies.
     """
     for info in model.project.by_qual.values():
-        for item in info.tree.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
+        for call in _import_time_calls(info):
+            if info.qualify(call.func) != "os.register_at_fork":
                 continue
-            for sub in ast.walk(item):
-                if not isinstance(sub, ast.Call):
+            for kw in call.keywords:
+                if kw.arg != "after_in_child" or \
+                        not isinstance(kw.value, ast.Name):
                     continue
-                if info.qualify(sub.func) != "os.register_at_fork":
+                binding = info.bind(kw.value.id)
+                target = model.project.functions.get(binding.target) \
+                    if binding is not None else None
+                if target is None:
                     continue
-                for kw in sub.keywords:
-                    if kw.arg != "after_in_child" or \
-                            not isinstance(kw.value, ast.Name):
-                        continue
-                    binding = info.bind(kw.value.id)
-                    target = model.nodes.get(binding.target) \
-                        if binding is not None else None
-                    if target is None:
-                        continue
-                    target.is_spawn_target = True
-                    model.atfork_child.append(target)
-                    model.fork_entries.append(target)
-                    _add_ctx(
-                        model, target, FORK,
-                        "registered as an after-fork child callback "
-                        f"at import time in {info.qualname}",
-                    )
+                target.is_spawn_target = True
+                model.atfork_child.append(target)
+                model.fork_entries.append(target)
+                _add_ctx(
+                    model, target, FORK,
+                    "registered as an after-fork child callback "
+                    f"at import time in {info.qualname}",
+                )
+
+
+def _import_time_calls(info: ModuleInfo):
+    """Every call in a module's top-level statements, def and class
+    bodies excluded."""
+    for item in info.tree.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        for sub in ast.walk(item):
+            if isinstance(sub, ast.Call):
+                yield sub
 
 
 def _seed(model: ContextModel) -> None:
     """Initial contexts before propagation."""
     # Module-level calls run at import time: their callees are main.
     for info in model.project.by_qual.values():
-        for item in info.tree.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            for sub in ast.walk(item):
-                if not isinstance(sub, ast.Call):
-                    continue
-                binding = info.bind(sub.func.id) \
-                    if isinstance(sub.func, ast.Name) else None
-                local = model.nodes.get(binding.target) \
-                    if binding is not None and binding.local else None
-                if local is not None:
-                    local.in_degree += 1
-                    _add_ctx(model, local, MAIN,
-                             f"called at import time in {info.qualname}")
-    for node in model.nodes.values():
+        for call in _import_time_calls(info):
+            binding = info.bind(call.func.id) \
+                if isinstance(call.func, ast.Name) else None
+            local = model.project.functions.get(binding.target) \
+                if binding is not None and binding.local else None
+            if local is not None:
+                local.in_degree += 1
+                _add_ctx(model, local, MAIN,
+                         f"called at import time in {info.qualname}")
+    for node in model.project.functions.values():
         if node.is_async:
             _add_ctx(model, node, LOOP,
                      "async def: its body runs on the event loop")
@@ -849,7 +720,7 @@ def _add_ctx(model: ContextModel, node: Node, context: str,
 
 def solve_contexts(model: ContextModel) -> None:
     """Propagate contexts along call/spawn/escape edges to a fixpoint."""
-    all_nodes = list(model.nodes.values()) + list(model.lambda_nodes)
+    all_nodes = model.all_nodes()
 
     def sweep() -> bool:
         changed = False
@@ -910,11 +781,14 @@ def solve_contexts(model: ContextModel) -> None:
 
 
 def build_contexts(project: Project) -> ContextModel:
-    """Collect nodes/edges and solve execution contexts for a project."""
+    """Resolve edges and solve execution contexts for a project.
+
+    The edges are written onto the project's own nodes, so build one
+    context model per project.
+    """
     model = ContextModel(project=project)
     _collect_types(model)
-    _make_nodes(model)
-    for node in list(model.nodes.values()):
+    for node in list(project.functions.values()):
         FunctionScanner(model, node).scan()
     # Escaping spawn params get a readable description for why-chains.
     for (qual, param), contexts in model.escapes.items():
@@ -927,12 +801,8 @@ def build_contexts(project: Project) -> ContextModel:
     _scan_module_atfork(model)
     _seed(model)
     solve_contexts(model)
-    # fork entries may have been discovered before their Node existed
-    seen: set[int] = set()
-    unique_entries = []
-    for entry in model.fork_entries:
-        if id(entry) not in seen:
-            seen.add(id(entry))
-            unique_entries.append(entry)
-    model.fork_entries = unique_entries
+    # A node spawned or registered at several sites is one entry.
+    model.fork_entries = list({
+        id(entry): entry for entry in model.fork_entries
+    }.values())
     return model

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.callgraph import Node
 from repro.analysis.concurrency.contexts import (
     FORK,
     LOOP,
     MAIN,
     THREAD,
     ContextModel,
-    Node,
 )
 from repro.analysis.concurrency.state import (
     BLOCKING_PROJECT,
@@ -158,7 +158,7 @@ def check_conc002(model: ContextModel, state: StateModel,
         return []
     # site (path, line, what) -> (chain text, roots that reach it)
     sites: dict[tuple[str, int, str], tuple[str, list[str]]] = {}
-    for root in model.nodes.values():
+    for root in model.project.functions.values():
         if not root.is_async:
             continue
         queue: list[tuple[Node, tuple[str, ...]]] = [(root, (root.short,))]
@@ -305,7 +305,7 @@ def check_conc004(model: ContextModel, state: StateModel,
     if "CONC004" in disable:
         return []
     findings: list[Finding] = []
-    for node in model.nodes.values():
+    for node in model.project.functions.values():
         own = node.items
         # Mutations in the enclosing function, outside any lambda body.
         lambda_items = {

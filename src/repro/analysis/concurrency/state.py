@@ -25,9 +25,9 @@ import ast
 import re
 from dataclasses import dataclass, field
 
+from repro.analysis.callgraph import Node, fixpoint
 from repro.analysis.concurrency.contexts import (
     ContextModel,
-    Node,
     T_FILE,
     T_LOCK,
     T_PROCESS_EXECUTOR,
@@ -36,7 +36,6 @@ from repro.analysis.concurrency.contexts import (
     ctor_type,
 )
 from repro.analysis.context import CommentTokens, ModuleSource
-from repro.analysis.dimensional.callgraph import fixpoint
 
 #: A shared-state key: ("global", module_qual, name) or
 #: ("field", class_qual, attr).
@@ -539,11 +538,9 @@ def bind_guard_comments(model: ContextModel, state: StateModel) -> None:
         # Classes: class-line comments guard every field; class-body
         # AnnAssign and in-method self.x stores guard one field.
         for cls in project.classes.values():
-            if cls.module_qual != info.qualname:
+            if cls.module is not info:
                 continue
-            class_node = _class_node(info.source, cls.name)
-            if class_node is None:
-                continue
+            class_node = cls.tree
             header_end = class_node.body[0].lineno - 1 \
                 if class_node.body else class_node.lineno
             for line in range(class_node.lineno, header_end + 1):
@@ -566,7 +563,7 @@ def bind_guard_comments(model: ContextModel, state: StateModel) -> None:
                 self_name = method.self_name
                 if self_name is None:
                     continue
-                for stmt in info.source.walk(method.node):
+                for stmt in info.source.walk(method.tree):
                     if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                         continue
                     if stmt.lineno not in by_line:
@@ -592,13 +589,6 @@ def bind_guard_comments(model: ContextModel, state: StateModel) -> None:
                     ),
                 ))
     _validate_guard_locks(model, state)
-
-
-def _class_node(module: ModuleSource, name: str) -> ast.ClassDef | None:
-    for item in module.walk():
-        if isinstance(item, ast.ClassDef) and item.name == name:
-            return item
-    return None
 
 
 def _class_attrs(module: ModuleSource, class_node: ast.ClassDef) -> list[str]:
@@ -639,21 +629,15 @@ def _validate_guard_locks(model: ContextModel, state: StateModel) -> None:
             continue
         kind, scope, _name = key
         scoped = state.known_locks.get((kind, scope), set())
-        module_scope: set[str] = set()
         if kind == "field":
             cls = model.project.classes.get(scope)
-            if cls is not None:
-                module_scope = state.known_locks.get(
-                    ("global", cls.module_qual), set(),
-                )
+            info = cls.module if cls is not None else None
         else:
-            module_scope = scoped
+            info = model.project.by_qual.get(scope)
+        module_scope = state.known_locks.get(
+            ("global", info.qualname), set(),
+        ) if info is not None else set()
         if lock not in scoped and lock not in module_scope:
-            info = model.project.by_qual.get(
-                scope if kind == "global" else
-                (model.project.classes[scope].module_qual
-                 if scope in model.project.classes else scope)
-            )
             path = info.path if info is not None else "<unknown>"
             state.guard_issues.append(GuardIssue(
                 path=path, line=1,
@@ -690,15 +674,13 @@ def _collect_shared_classes(model: ContextModel,
             mark(typ, f"stored in module-level container {mod}.{name}")
     # self stored into a module global inside any method.
     for cls in project.classes.values():
-        info = project.by_qual.get(cls.module_qual)
-        if info is None:
-            continue
+        info = cls.module
         module_globals = info.global_names
         for method in cls.methods.values():
             self_name = method.self_name
             if self_name is None:
                 continue
-            for item in info.source.walk(method.node):
+            for item in info.source.walk(method.tree):
                 stored = False
                 where = ""
                 if isinstance(item, ast.Call) and isinstance(
@@ -727,12 +709,11 @@ def _collect_shared_classes(model: ContextModel,
                     mark(cls.qualname, where)
     # Instances constructed into module-level containers:
     # ``_HISTOGRAMS[name] = _HistogramState()``.
-    for node in model.nodes.values():
+    for node in project.functions.values():
         module_globals = node.module.global_names
         # A def's walk yields the Assign statements of its body in the
         # same order as a walk of the body alone.
-        scope = project.functions[node.qualname].node
-        for item in node.module.source.walk(scope):
+        for item in node.module.source.walk(node.tree):
             if not isinstance(item, ast.Assign):
                 continue
             typ = ctor_type(item.value, node.module, project)
@@ -829,8 +810,7 @@ def _collect_reinit(model: ContextModel, state: StateModel) -> None:
 def build_state(model: ContextModel) -> StateModel:
     """Run every state collection pass for a solved context model."""
     state = StateModel()
-    all_nodes = list(model.nodes.values()) + list(model.lambda_nodes)
-    for node in all_nodes:
+    for node in model.all_nodes():
         scanner = _StateScanner(model, state, node)
         scanner.collect_awaited()
         scanner.scan()

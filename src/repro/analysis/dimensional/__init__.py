@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.analysis import callgraph
 from repro.analysis.context import ModuleSource
-from repro.analysis.dimensional.callgraph import Project, build_project
 from repro.analysis.dimensional.dim import (
     ANY,
     DIMENSIONLESS,
@@ -43,11 +43,9 @@ __all__ = [
     "DimValue",
     "MAX_PASSES",
     "POLY",
-    "Project",
     "SUFFIX_DIMS",
     "UNKNOWN",
     "analyze_dimensions",
-    "build_project",
     "check_module",
     "format_dim",
     "parse_unit_expr",
@@ -59,7 +57,7 @@ __all__ = [
 def analyze_dimensions(
     targets: Iterable[ModuleSource],
     context: Iterable[ModuleSource],
-    project: Project | None = None,
+    project: callgraph.Project | None = None,
 ) -> dict[str, list[Finding]]:
     """Run the dimensional pass and report findings for ``targets``.
 
@@ -72,7 +70,7 @@ def analyze_dimensions(
     """
     target_list = list(targets)
     if project is None:
-        project = build_project(list(context))
+        project = callgraph.build_project(list(context))
     solve_fixpoint(project)
     results: dict[str, list[Finding]] = {}
     for source in target_list:

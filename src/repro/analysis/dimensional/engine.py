@@ -30,14 +30,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.dimensional import callgraph
-from repro.analysis.dimensional.callgraph import (
-    ClassInfo,
-    FunctionInfo,
-    ModuleInfo,
-    Project,
-    fixpoint,
-)
+from repro.analysis import callgraph
 from repro.analysis.dimensional.dim import (
     ANY,
     DIMENSIONLESS,
@@ -89,7 +82,7 @@ class _SelfRef:
 
     __slots__ = ("cls",)
 
-    def __init__(self, cls: ClassInfo | None) -> None:
+    def __init__(self, cls: callgraph.ClassInfo | None) -> None:
         self.cls = cls
 
 
@@ -123,9 +116,9 @@ class _Evaluator:
 
     def __init__(
         self,
-        project: Project,
-        module: ModuleInfo,
-        function: FunctionInfo | None,
+        project: callgraph.Project,
+        module: callgraph.ModuleInfo,
+        function: callgraph.Node | None,
         check: bool,
         findings: list[Finding] | None = None,
     ) -> None:
@@ -137,14 +130,12 @@ class _Evaluator:
         self.changed = False
         self.env: dict[str, _Abstract] = {}
         self.return_sites: list[tuple[ast.Return, DimValue, str | None]] = []
-        self.self_class: ClassInfo | None = None
+        self.self_class: callgraph.ClassInfo | None = None
         if function is not None:
-            if function.class_qual is not None:
-                self.self_class = project.classes.get(function.class_qual)
+            self.self_class = function.owner
             if function.self_name is not None:
                 self.env[function.self_name] = _SelfRef(self.self_class)
-            start = 1 if function.self_name is not None else 0
-            for slot in function.params[start:]:
+            for slot in function.bindable:
                 self.env[slot.name] = slot.dim
 
     # -- reporting --------------------------------------------------------
@@ -180,7 +171,7 @@ class _Evaluator:
             slot.value = new
             self.changed = True
 
-    def _join_return(self, fn: FunctionInfo, value: DimValue) -> None:
+    def _join_return(self, fn: callgraph.Node, value: DimValue) -> None:
         if self.check or fn.return_pin is not None:
             return
         new = join(fn.return_value, value)
@@ -386,7 +377,7 @@ class _Evaluator:
             if isinstance(dim_value, Dim) and dim_value != fn.return_pin:
                 self._report(
                     stmt, "DIM002",
-                    f"function {fn.node.name!r} pins its return "
+                    f"function {fn.name!r} pins its return "
                     f"dimension to '{format_dim(fn.return_pin)}' but "
                     f"this return infers "
                     f"'{format_dim(dim_value)}': {self._chain(why)}",
@@ -437,7 +428,8 @@ class _Evaluator:
             constant = self.project.constant_dim(module_qual, symbol)
             if constant is not None:
                 return constant, self._dim_why(constant, name)
-            if self._resolve_symbol(binding.target) is not None:
+            if self.project.lookup(binding.target,
+                                   unique_terminal=True) is not None:
                 return UNKNOWN, None  # class/function object as a value
         pinned = suffix_dim(name)
         if pinned is not None:
@@ -737,12 +729,12 @@ class _Evaluator:
         for kw in node.keywords:
             if kw.arg is None:  # **kwargs: evaluated, not bound
                 self._eval(kw.value)
-        if isinstance(target, FunctionInfo):
+        if isinstance(target, callgraph.Node):
             self._bind_call(node, target, arg_values, kw_values)
             result = target.return_dim
-            label = f"{target.node.name}(...)"
+            label = f"{target.name}(...)"
             return result, self._dim_why(result, label)
-        if isinstance(target, ClassInfo):
+        if isinstance(target, callgraph.ClassInfo):
             self._bind_constructor(node, target, arg_values, kw_values)
             return UNKNOWN, None
         if isinstance(target, list):  # ambiguous duck candidates
@@ -758,7 +750,7 @@ class _Evaluator:
     def _bind_call(
         self,
         node: ast.Call,
-        fn: FunctionInfo,
+        fn: callgraph.Node,
         arg_values: list[tuple[_Abstract, str | None]],
         kw_values: dict[str, tuple[_Abstract, str | None]],
     ) -> None:
@@ -779,7 +771,7 @@ class _Evaluator:
                 if isinstance(dim_value, Dim) and dim_value != slot.pin:
                     self._report(
                         node, "DIM004",
-                        f"parameter {slot.name!r} of {fn.node.name!r} "
+                        f"parameter {slot.name!r} of {fn.name!r} "
                         f"expects '{format_dim(slot.pin)}' but the "
                         f"argument infers '{format_dim(dim_value)}': "
                         f"{self._chain(why)}",
@@ -790,7 +782,7 @@ class _Evaluator:
     def _bind_constructor(
         self,
         node: ast.Call,
-        cls: ClassInfo,
+        cls: callgraph.ClassInfo,
         arg_values: list[tuple[_Abstract, str | None]],
         kw_values: dict[str, tuple[_Abstract, str | None]],
     ) -> None:
@@ -937,39 +929,19 @@ class _Evaluator:
 
     # -- call resolution --------------------------------------------------
 
-    def _resolve_symbol(self, qualname: str) -> FunctionInfo | ClassInfo | None:
-        found = self.project.functions.get(qualname)
-        if found is not None:
-            return found
-        cls = self.project.classes.get(qualname)
-        if cls is not None:
-            return cls
-        terminal = qualname.rsplit(".", 1)[-1]
-        functions = self.project.func_by_name.get(terminal, [])
-        if len(functions) == 1:
-            return functions[0]
-        candidates = self.project.class_by_name.get(terminal, [])
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
-
-    def _resolve_call(
-        self, func: ast.expr
-    ) -> FunctionInfo | ClassInfo | list[FunctionInfo] | None:
+    def _resolve_call(self, func: ast.expr) -> (
+        callgraph.Node | callgraph.ClassInfo | list[callgraph.Node] | None
+    ):
         if isinstance(func, ast.Name):
-            binding = self.module.bind(func.id)
-            if binding is not None and not binding.module:
-                return self._resolve_symbol(binding.target)
-            if self.function is not None:
-                # Sibling nested def / method referenced without self.
-                return self.project.functions.get(
-                    f"{self.function.qualname}.{func.id}"
-                )
-            return None
+            return self.project.resolve_name(
+                self.module, func.id, self.function, unique_terminal=True,
+            )
         if isinstance(func, ast.Attribute):
             module_qual = self._module_ref(func.value)
             if module_qual is not None:
-                return self._resolve_symbol(f"{module_qual}.{func.attr}")
+                return self.project.lookup(
+                    f"{module_qual}.{func.attr}", unique_terminal=True,
+                )
             if (
                 isinstance(func.value, ast.Name)
                 and isinstance(self.env.get(func.value.id), _SelfRef)
@@ -999,7 +971,7 @@ class _Evaluator:
 # -- project passes --------------------------------------------------------
 
 
-def _constant_pass(project: Project) -> None:
+def _constant_pass(project: callgraph.Project) -> None:
     """Infer module-level constant dims (two sweeps for forward imports)."""
     for _ in range(2):
         for module in project.modules.values():
@@ -1010,26 +982,25 @@ def _constant_pass(project: Project) -> None:
                     evaluator._stmt(stmt)
 
 
-def _summary_pass(project: Project) -> bool:
+def _summary_pass(project: callgraph.Project) -> bool:
     """One fixpoint sweep over every function; True if any fact moved."""
     changed = False
     for fn in project.functions.values():
-        module = project.by_qual.get(fn.module_qual)
-        if module is None:
-            continue
-        evaluator = _Evaluator(project, module, fn, check=False)
-        evaluator.run_body(fn.node.body)
+        evaluator = _Evaluator(project, fn.module, fn, check=False)
+        evaluator.run_body(fn.tree.body)
         changed = changed or evaluator.changed
     return changed
 
 
-def solve_fixpoint(project: Project, max_passes: int = MAX_PASSES) -> int:
+def solve_fixpoint(
+    project: callgraph.Project, max_passes: int = MAX_PASSES,
+) -> int:
     """Iterate summary passes to a fixpoint; returns the pass count."""
     _constant_pass(project)
-    return fixpoint(lambda: _summary_pass(project), max_passes)
+    return callgraph.fixpoint(lambda: _summary_pass(project), max_passes)
 
 
-def check_module(project: Project, path: str) -> list[Finding]:
+def check_module(project: callgraph.Project, path: str) -> list[Finding]:
     """Re-evaluate one module with frozen facts, collecting findings."""
     module = project.modules[path]
     findings: list[Finding] = []
@@ -1042,9 +1013,9 @@ def check_module(project: Project, path: str) -> list[Finding]:
                                  ast.ClassDef)):
             top._stmt(stmt)
     for fn in project.functions.values():
-        if fn.module_qual != module.qualname:
+        if fn.module is not module:
             continue
         evaluator = _Evaluator(project, module, fn, check=True,
                                findings=findings)
-        evaluator.run_body(fn.node.body)
+        evaluator.run_body(fn.tree.body)
     return findings

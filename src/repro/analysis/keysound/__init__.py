@@ -22,8 +22,8 @@ whole-program:
 
 The pass reuses the concurrency substrate — the shared project call
 graph, the solved :class:`~repro.analysis.concurrency.contexts
-.ContextModel` (with decorator/partial resolution) and the
-:class:`~repro.analysis.concurrency.state.StateModel` access table —
+.ContextModel` (with its callable resolver and decorator bindings) and
+the :class:`~repro.analysis.concurrency.state.StateModel` access table —
 so a ``lint --all`` run builds each structure exactly once. Its
 declarations are read from each project module's shared comment table
 (``ModuleInfo.source.comments``), and its site and effect scanners

@@ -29,9 +29,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.concurrency.contexts import ContextModel, Node
+from repro.analysis.callgraph import Node, fixpoint
+from repro.analysis.concurrency.contexts import ContextModel
 from repro.analysis.concurrency.state import StateKey, StateModel
-from repro.analysis.dimensional.callgraph import fixpoint
 
 #: Safety cap on propagation sweeps; real projects converge in 3-6.
 MAX_PASSES = 24
@@ -188,8 +188,7 @@ def _scan_mentions(node: Node) -> set[str]:
 def solve_effects(model: ContextModel, state: StateModel) -> EffectModel:
     """Collect per-node facts and propagate them along call edges."""
     effects = EffectModel()
-    all_nodes = list(model.nodes.values()) + list(model.lambda_nodes)
-    live = [node for node in all_nodes if not is_neutral(node)]
+    live = [node for node in model.all_nodes() if not is_neutral(node)]
     # Base facts.
     for node in live:
         effects.reads[node.qualname] = {}

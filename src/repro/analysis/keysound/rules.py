@@ -8,6 +8,7 @@ the DIM/CONC style.
 
 from __future__ import annotations
 
+from repro.analysis.callgraph import Node
 from repro.analysis.concurrency.state import StateKey, StateModel
 from repro.analysis.finding import Finding
 from repro.analysis.keysound.effects import EffectModel, Fact
@@ -130,8 +131,7 @@ def check_key002(
 def check_det001(
     sites: list[MemoSite],
     effects: EffectModel,
-    model_nodes: dict,
-    project,
+    functions: dict[str, Node],
     global_exempt: dict[StateKey, str],
     mutable: frozenset[StateKey],
     disable: frozenset[str],
@@ -161,11 +161,10 @@ def check_det001(
             ))
     # Key-derivation functions must themselves be deterministic and
     # read no mutable state: their output is the key.
-    for qual, node in sorted(model_nodes.items()):
+    for qual, node in sorted(functions.items()):
         if node.name not in KEY_DERIVATION:
             continue
-        fn = project.functions.get(qual)
-        line = fn.node.lineno if fn is not None else 1
+        line = node.tree.lineno
         for source in sorted(effects.nondet.get(qual, {})):
             fact = effects.nondet[qual][source]
             findings.append(Finding(
@@ -255,7 +254,7 @@ def run_rules(
     ))
     findings.extend(check_key002(sites, effects, disable))
     findings.extend(check_det001(
-        sites, effects, model.nodes, model.project, global_exempt,
+        sites, effects, model.project.functions, global_exempt,
         mutable, disable,
     ))
     findings.extend(check_det002(

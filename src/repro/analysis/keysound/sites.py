@@ -4,17 +4,20 @@ A *site* is one place a computation's result is stored under a key:
 
 * ``<memo>.get_or_compute(key, compute)`` — the :class:`repro.fastpath
   .Memo` protocol used by the array/gate/repeater/batch/serve layers;
-* ``functools.lru_cache`` / ``functools.cache`` decorated defs — the
-  parameters *are* the key;
+* ``lru_cache`` / ``cache`` / ``cached_property`` decorated defs — the
+  parameters *are* the key; the site is named by the import-resolved
+  decorator (``repro.fastpath.cached_property[Unit.energy]``);
 * ``<cache>.put(key, value)`` — the persistent ``EvalCache`` admission
   sites in the evaluation engine.
 
 For each site the scanner resolves the *key component names* (which
 identifiers flow into the key expression, tracing locals through
 assignments and ``zip`` loop targets) and the *compute entry nodes*
-(which call-graph nodes produce the cached value, resolving lambdas,
-bound methods, ``functools.partial``, and decorator-bound closure
-parameters via ``ContextModel.decorator_bindings``).
+(which call-graph nodes produce the cached value: decorator-bound
+closure parameters via ``ContextModel.decorator_bindings``, traced
+local producers and producing calls, and everything else through the
+shared :meth:`~repro.analysis.concurrency.contexts.FunctionScanner
+.resolve_callable`).
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.analysis.callgraph import Node
 from repro.analysis.concurrency.contexts import (
     ContextModel,
-    Node,
     FunctionScanner,
 )
 
-#: Decorator terminals that memoize the decorated def on its arguments.
+#: Terminal names of the decorators that memoize the decorated def on
+#: its arguments, matched after import aliases are resolved.
 LRU_DECORATORS: frozenset[str] = frozenset({
     "lru_cache", "cache", "cached_property",
 })
@@ -203,27 +207,24 @@ class _SiteScanner:
 
     # -- compute resolution ----------------------------------------------
 
-    def _closure_param_owner(self, name: str) -> Node | None:
-        """The enclosing-scope node that defines ``name`` as a param."""
-        qual = self.node.qualname
-        while "." in qual:
-            qual = qual.rsplit(".", 1)[0]
-            owner = self.model.nodes.get(qual)
-            if owner is not None and name in owner.params:
-                return owner
+    def _param_owner(self, name: str) -> Node | None:
+        """This node, or else the nearest enclosing def, that has a
+        parameter ``name``."""
+        for scope in self.model.project.scopes(self.node):
+            if name in scope.params:
+                return scope
         return None
 
     def resolve_compute(self, expr: ast.expr) -> tuple[Node, ...]:
-        if isinstance(expr, ast.Lambda):
-            for lam in self.node.inline_lambdas:
-                if lam.body is expr.body:
-                    return (lam,)
-            return ()
+        """The nodes that compute a cached value.
+
+        Steps of its own come first: a closure parameter of a decorator
+        is every function it decorates, a local is traced to its
+        producer, and a producing call resolves to its callee. Anything
+        else goes to :meth:`FunctionScanner.resolve_callable`.
+        """
         if isinstance(expr, ast.Name):
-            if expr.id in self.node.params:
-                owner = self.node
-            else:
-                owner = self._closure_param_owner(expr.id)
+            owner = self._param_owner(expr.id)
             if owner is not None:
                 # A closure/callable parameter: if the owner is a
                 # decorator, the bound callables are the real computes.
@@ -234,26 +235,11 @@ class _SiteScanner:
             produced = self.tracer.resolve(expr)
             if produced is not expr:
                 return self.resolve_compute(produced)
-            found = self.calls.function_by_name(expr.id)
-            return (found,) if found is not None else ()
-        if isinstance(expr, ast.Attribute):
-            if isinstance(expr.value, ast.Name) and \
-                    expr.value.id == self.node.self_name and \
-                    self.node.owner is not None:
-                method = self.node.owner.methods.get(expr.attr)
-                if method is not None:
-                    found = self.model.nodes.get(method.qualname)
-                    return (found,) if found is not None else ()
-            found = self.calls.chain_target(expr)
-            return (found,) if found is not None else ()
-        if isinstance(expr, ast.Call):
-            chain = self.node.module.qualify(expr.func)
-            if chain is not None and \
-                    chain.rsplit(".", 1)[-1] == "partial" and expr.args:
-                return self.resolve_compute(expr.args[0])
+        found, _ = self.calls.resolve_callable(expr)
+        if not found and isinstance(expr, ast.Call):
             # A producing call: the callee computes the cached value.
             return self.resolve_compute(expr.func)
-        return ()
+        return tuple(found)
 
     # -- key resolution --------------------------------------------------
 
@@ -277,18 +263,12 @@ class _SiteScanner:
     def _packed_param_names(self) -> set[str]:
         """``*args``/``**kwargs`` names of this node and its closures."""
         names: set[str] = set()
-        qual = self.node.qualname
-        while qual:
-            fn = self.model.project.functions.get(qual)
-            if fn is not None:
-                formals = fn.node.args
-                if formals.vararg is not None:
-                    names.add(formals.vararg.arg)
-                if formals.kwarg is not None:
-                    names.add(formals.kwarg.arg)
-            if "." not in qual:
-                break
-            qual = qual.rsplit(".", 1)[0]
+        for scope in self.model.project.scopes(self.node):
+            formals = scope.tree.args
+            if formals.vararg is not None:
+                names.add(formals.vararg.arg)
+            if formals.kwarg is not None:
+                names.add(formals.kwarg.arg)
         return names
 
     # -- discovery -------------------------------------------------------
@@ -371,25 +351,22 @@ def _terminal(expr: ast.expr) -> str | None:
 
 def _lru_sites(model: ContextModel) -> list[MemoSite]:
     sites: list[MemoSite] = []
-    for fn in model.project.functions.values():
-        node = model.nodes.get(fn.qualname)
-        if node is None:
-            continue
-        for dec in fn.node.decorator_list:
+    for node in model.project.functions.values():
+        for dec in node.tree.decorator_list:
             target = dec.func if isinstance(dec, ast.Call) else dec
-            terminal = _terminal(target)
-            if terminal not in LRU_DECORATORS:
+            chain = node.module.qualify(target)
+            if chain is None or \
+                    chain.rsplit(".", 1)[-1] not in LRU_DECORATORS:
                 continue
-            bindable = node.params[1:] if fn.self_name is not None \
-                else node.params
+            bindable = [slot.name for slot in node.bindable]
             sites.append(MemoSite(
                 kind="lru",
                 path=node.module.path,
-                line=fn.node.lineno,
-                end_line=fn.node.body[0].lineno - 1 if fn.node.body
-                else fn.node.lineno,
+                line=node.tree.lineno,
+                end_line=node.tree.body[0].lineno - 1 if node.tree.body
+                else node.tree.lineno,
                 node=node,
-                cache_name=f"functools.{terminal}[{node.short}]",
+                cache_name=f"{chain}[{node.short}]",
                 key_names=frozenset(bindable),
                 key_value_names=frozenset(bindable),
                 key_opaque=False,
@@ -402,8 +379,7 @@ def _lru_sites(model: ContextModel) -> list[MemoSite]:
 def discover_sites(model: ContextModel) -> list[MemoSite]:
     """Every memoization site in the project, in a stable order."""
     sites: list[MemoSite] = []
-    all_nodes = list(model.nodes.values()) + list(model.lambda_nodes)
-    for node in all_nodes:
+    for node in model.all_nodes():
         sites.extend(_SiteScanner(model, node).scan())
     sites.extend(_lru_sites(model))
     sites.sort(key=lambda site: (site.path, site.line, site.cache_name))

@@ -13,10 +13,13 @@ shape:
   callable ``(targets, shared, disabled) -> {path: [Finding]}``;
 * :class:`SharedAnalysis` owns every cross-pass structure — the parsed
   module list, the purity :class:`~repro.analysis.context.ProjectIndex`,
-  the :class:`~repro.analysis.dimensional.callgraph.Project` symbol
-  tables, and the concurrency :class:`ContextModel`/:class:`StateModel`
-  pair (which the keysound pass reuses) — each built **once** per lint
-  invocation and handed to every pass that wants it. Below those, each
+  the :class:`~repro.analysis.callgraph.Project` model (one
+  :class:`~repro.analysis.callgraph.Node` per def, which the
+  dimensional pass fills with dimension facts and the concurrency pass
+  with edges), and the concurrency :class:`ContextModel`/
+  :class:`StateModel` pair (which the keysound pass reuses, with the
+  same callable resolver) — each built **once** per lint invocation
+  and handed to every pass that wants it. Below those, each
   module and each of its defs and classes is walked once
   (:meth:`ModuleSource.walk <repro.analysis.context.ModuleSource.walk>`,
   shared by every rule and pass), each module holding a ``repro:``
@@ -24,8 +27,8 @@ shape:
   <repro.analysis.context.ModuleSource.comments>`, the one comment
   table every ``# repro:`` grammar reads through the project's
   ``ModuleInfo``) and each call-graph node's own statements are walked
-  once (``Node.items``, shared by the context, state, site and effect
-  scanners);
+  once (:attr:`Node.items <repro.analysis.callgraph.Node.items>`,
+  shared by the context, state, site and effect scanners);
 * :func:`run_passes` runs the enabled passes one after another on the
   caller's thread and reports per-pass wall-clock timings for the JSON
   output. The passes are pure Python, so threads would only contend
@@ -104,7 +107,7 @@ class SharedAnalysis:
     def project(self):
         """The whole-program symbol tables (shared call graph)."""
         if self._project is None:
-            from repro.analysis.dimensional.callgraph import build_project
+            from repro.analysis.callgraph import build_project
 
             self._project = build_project(self.context)
         return self._project

@@ -188,7 +188,12 @@ def evaluate_batch(
                 _counters["compile_probes"] += compiled.n_probes
                 return compiled
 
-            compiled = _COMPILED_GROUPS.get_or_compute(memo_key, _compile)
+            # group_key is the structure hash of `representative`, which
+            # _compile reads; the counters count real compiles only.
+            compiled = _COMPILED_GROUPS.get_or_compute(
+                memo_key, _compile,  # repro: keyed-by[group_key]
+                # repro: key-exempt[_counters: a memo hit compiles nothing]
+            )
             if isinstance(compiled, BatchFallback):
                 _counters["groups_fallback"] += 1
                 _counters["points_fallback"] += len(points)

@@ -54,7 +54,10 @@ class TestContexts:
             async def handle(request):
                 return request
         """)
-        (node,) = [n for n in model.nodes.values() if n.short == "handle"]
+        (node,) = [
+            n for n in model.project.functions.values()
+            if n.short == "handle"
+        ]
         assert LOOP in model.contexts(node)
         assert "event loop" in model.reason(node, LOOP)
 
@@ -69,9 +72,27 @@ class TestContexts:
                 pool = ThreadPoolExecutor(max_workers=4)
                 return [pool.submit(work, p) for p in points]
         """)
-        (work,) = [n for n in model.nodes.values() if n.short == "work"]
+        (work,) = [
+            n for n in model.project.functions.values()
+            if n.short == "work"
+        ]
         assert THREAD in model.contexts(work)
         assert "thread executor" in model.reason(work, THREAD)
+
+    def test_nested_submit_target_is_thread(self):
+        model, _ = _model("""
+            from concurrent.futures import ThreadPoolExecutor
+
+            def drive(points):
+                def work(x):
+                    return x
+
+                pool = ThreadPoolExecutor(max_workers=4)
+                return [pool.submit(work, p) for p in points]
+        """)
+        work = model.project.functions["mod.drive.work"]
+        assert model.contexts(work) == {THREAD}
+        assert "by drive" in model.reason(work, THREAD)
 
     def test_process_target_is_fork_worker(self):
         model, _ = _model("""
@@ -83,7 +104,10 @@ class TestContexts:
             def drive():
                 multiprocessing.Process(target=work, args=(1,)).start()
         """)
-        (work,) = [n for n in model.nodes.values() if n.short == "work"]
+        (work,) = [
+            n for n in model.project.functions.values()
+            if n.short == "work"
+        ]
         assert FORK in model.contexts(work)
 
     def test_unreferenced_function_is_assumed_main(self):
@@ -91,7 +115,10 @@ class TestContexts:
             def entry():
                 return 1
         """)
-        (node,) = [n for n in model.nodes.values() if n.short == "entry"]
+        (node,) = [
+            n for n in model.project.functions.values()
+            if n.short == "entry"
+        ]
         assert model.contexts(node) == {MAIN}
 
     def test_contexts_propagate_through_call_edges(self):
@@ -107,7 +134,10 @@ class TestContexts:
             def drive():
                 threading.Thread(target=middle).start()
         """)
-        (leaf,) = [n for n in model.nodes.values() if n.short == "leaf"]
+        (leaf,) = [
+            n for n in model.project.functions.values()
+            if n.short == "leaf"
+        ]
         assert THREAD in model.contexts(leaf)
         # The why-chain walks back through the call edge to the spawn.
         assert "called from middle" in model.reason(leaf, THREAD)

@@ -8,6 +8,7 @@ import pytest
 
 from repro import units
 from repro.analysis import lint_paths, lint_source
+from repro.analysis.callgraph import build_project
 from repro.analysis.context import ModuleSource
 from repro.analysis.dimensional import (
     ANY,
@@ -16,7 +17,6 @@ from repro.analysis.dimensional import (
     MAX_PASSES,
     POLY,
     UNKNOWN,
-    build_project,
     format_dim,
     parse_unit_expr,
     solve_fixpoint,
@@ -256,6 +256,17 @@ class TestDim003SuffixContradiction:
                 return delay_s
         """) == []
 
+    def test_def_under_a_compound_statement_is_checked(self):
+        assert "DIM003" in _dim_rules("""
+            def outer(enabled, delay_s, width_m):
+                if enabled:
+                    def total():
+                        latency_s = delay_s * width_m
+                        return latency_s
+                    return total()
+                return 0.0
+        """)
+
 
 class TestDim004CallBoundary:
     def test_wrong_dimension_at_a_pinned_parameter(self):
@@ -379,7 +390,7 @@ class TestFixpoint:
         assert solve_fixpoint(project) < MAX_PASSES
         total = next(
             f for f in project.functions.values()
-            if f.node.name == "total"
+            if f.name == "total"
         )
         assert total.return_dim == SECOND
 

@@ -132,6 +132,38 @@ class TestSiteDiscovery:
         assert site.kind == "lru"
         assert "cached_property" in site.cache_name
 
+    def test_decorator_sites_are_named_by_their_import(self):
+        sites, _, _, _ = _model(("mod.py", """
+            from functools import lru_cache as memo
+            from repro.fastpath import cached_property
+
+            class Unit:
+                @cached_property
+                def energy(self):
+                    return 1.0
+
+            @memo(maxsize=None)
+            def area(width, height):
+                return width * height
+        """))
+        assert sorted(site.cache_name for site in sites) == [
+            "functools.lru_cache[area]",
+            "repro.fastpath.cached_property[Unit.energy]",
+        ]
+
+    def test_nested_compute_is_resolved(self):
+        sites, _, _, _ = _model(("mod.py", """
+            def nominal(node_nm):
+                def _compute():
+                    return node_nm * 2
+
+                return _MEMO.get_or_compute(node_nm, _compute)
+        """))
+        (site,) = sites
+        assert [node.qualname for node in site.compute] == [
+            "mod.nominal._compute",
+        ]
+
     def test_cache_put_traces_the_producer_through_zip(self):
         sites, _, _, _ = _model(("engine.py", """
             def evaluate(cfg):
